@@ -8,6 +8,11 @@
 //! verdicts from the replayed kernel alone — proving the verdicts are
 //! reproducible from the log, not just observable live.
 //!
+//! It also gates the digest's cost: `digest_scaling` times
+//! `state_digest` on pooled runtimes serving 10 and 1000 tenants, and
+//! fails when the larger costs 3x the smaller or more — the digest must
+//! stay O(1) in kernel size, since recording pays it on every step.
+//!
 //! Results land in `BENCH_replay.json` at the repo root (hand-rolled
 //! JSON; the suite carries no serde) and as a table on stdout.
 //! Regenerate with:
@@ -20,7 +25,9 @@ use freepart::{
     crash_forensics, journal_exactly_once, transition_windows, w_grant_discipline, Policy, Runtime,
 };
 use freepart_apps::drone::{self, DroneConfig};
+use freepart_apps::tenants::{run_chains_interleaved, stage_input};
 use freepart_attacks::payloads;
+use freepart_bench::experiments::fast_install;
 use freepart_bench::{workspace_root, Table};
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step;
@@ -66,6 +73,33 @@ fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
     }
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     (total, total as f64 / secs)
+}
+
+/// Tenant counts of the digest-scaling gate, and the bar its cost ratio
+/// must stay under.
+const SCALING_TENANTS: (usize, usize) = (10, 1000);
+const MAX_SCALING_RATIO: f64 = 3.0;
+
+/// Median wall ns of one `state_digest` on a `freepart_pooled()` runtime
+/// that has served one chain per tenant for `tenants` tenants.
+fn digest_ns(tenants: usize) -> f64 {
+    let mut rt = fast_install(Policy::freepart_pooled());
+    let ids: Vec<_> = (0..tenants).map(|_| rt.spawn_tenant()).collect();
+    let paths: Vec<String> = ids.iter().map(|t| stage_input(&mut rt, t.0)).collect();
+    run_chains_interleaved(&mut rt, &ids, &paths).expect("pooled serve");
+    // Batches of digests, so timer overhead stays out of the figure.
+    const BATCH: u32 = 64;
+    let mut samples: Vec<f64> = (0..301)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..BATCH {
+                std::hint::black_box(rt.kernel.state_digest());
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(BATCH)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Records one drone mission, replays it, audits it, and reports the
@@ -137,7 +171,7 @@ fn record_and_replay(
     (scenario, log)
 }
 
-fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)]) -> String {
+fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)], scaling: (f64, f64)) -> String {
     let mut out = String::from("{\n  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -171,7 +205,16 @@ fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)]) -> String {
             if i + 1 < throughput.len() { "," } else { "" }
         ));
     }
-    out.push_str(&format!("  ], \"min_steps_per_sec\": {min:.1}}}\n}}\n"));
+    out.push_str(&format!("  ], \"min_steps_per_sec\": {min:.1}}},\n"));
+    let (small, large) = scaling;
+    out.push_str(&format!(
+        "  \"digest_scaling\": {{\"tenants_small\": {}, \"tenants_large\": {}, \
+         \"digest_ns_small\": {small:.1}, \"digest_ns_large\": {large:.1}, \
+         \"ratio\": {:.3}, \"max_ratio\": {MAX_SCALING_RATIO:.1}}}\n}}\n",
+        SCALING_TENANTS.0,
+        SCALING_TENANTS.1,
+        large / small
+    ));
     out
 }
 
@@ -267,7 +310,20 @@ fn main() {
         throughput.push((log_name, steps, steps_per_sec));
     }
 
-    let json = to_json(&rows, &throughput);
+    let scaling = (digest_ns(SCALING_TENANTS.0), digest_ns(SCALING_TENANTS.1));
+    let ratio = scaling.1 / scaling.0;
+    println!(
+        "\nstate digest: {:.0} ns at {} tenants, {:.0} ns at {} tenants (ratio {ratio:.2})",
+        scaling.0, SCALING_TENANTS.0, scaling.1, SCALING_TENANTS.1
+    );
+    assert!(
+        ratio < MAX_SCALING_RATIO,
+        "state digest grows with kernel size: {ratio:.2}x from {} to {} tenants",
+        SCALING_TENANTS.0,
+        SCALING_TENANTS.1
+    );
+
+    let json = to_json(&rows, &throughput, scaling);
     let out = workspace_root().join("BENCH_replay.json");
     std::fs::write(&out, &json).expect("write BENCH_replay.json");
     println!("wrote {} ({} scenarios)", out.display(), rows.len());

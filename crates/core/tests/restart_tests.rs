@@ -237,7 +237,7 @@ fn seal_failure_panics_in_debug_builds() {
     let pid = rt.agent(loading).unwrap().pid;
     // An already-locked process configuration makes `install_filter`
     // return `Eperm` when the first completed call tries to seal.
-    rt.kernel.process_mut(pid).unwrap().no_new_privs = true;
+    rt.kernel.set_no_new_privs(pid).unwrap();
     let _ = rt.call("cv2.imread", &[Value::from("/ok.simg")]);
 }
 
@@ -249,7 +249,7 @@ fn seal_failure_degrades_and_audits_in_release_builds() {
     seed_image(&mut rt, "/ok.simg");
     let loading = rt.partition_of(rt.registry().id_of("cv2.imread").unwrap());
     let pid = rt.agent(loading).unwrap().pid;
-    rt.kernel.process_mut(pid).unwrap().no_new_privs = true;
+    rt.kernel.set_no_new_privs(pid).unwrap();
     // The call itself completed before sealing, so it succeeds...
     rt.call("cv2.imread", &[Value::from("/ok.simg")]).unwrap();
     // ...but the partition must not keep serving unsandboxed: it is

@@ -30,6 +30,7 @@ pub mod effects;
 pub mod state;
 pub mod step;
 
+mod digest;
 mod dispatch;
 
 pub use effects::{Counter, Effect, Effects};

@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::commit::{self, OpSummary};
 use crate::cost::{CostModel, VirtualClock};
 use crate::device::{Camera, Display, NetworkLog};
 use crate::error::{SimError, SimResult};
@@ -19,10 +18,11 @@ use crate::filter::SyscallFilter;
 use crate::fs::SimFs;
 use crate::ipc::{ChannelId, RingChannel};
 use crate::mem::{Addr, Perms, PAGE_SIZE};
-use crate::process::{FdTarget, Pid, ProcessState, SimProcess};
+use crate::process::{Pid, SimProcess};
 use crate::shm::{ShmId, ShmSegment};
 use crate::Metrics;
 
+use super::digest::EntitySums;
 use super::effects::{Counter, Effect, Effects};
 
 /// How virtual time flows through the kernel.
@@ -120,6 +120,9 @@ pub struct KernelState {
     /// Kernel-owned shared-memory segments (see [`crate::shm`]).
     pub(crate) shm: BTreeMap<ShmId, ShmSegment>,
     pub(crate) next_shm: u64,
+    /// Multiset hashes of the keyed maps, kept current by `step` (see
+    /// [`crate::core::digest`]).
+    pub(crate) sums: EntitySums,
 }
 
 impl Default for KernelState {
@@ -154,6 +157,7 @@ impl KernelState {
             entropy: EntropyStream::seeded(ENTROPY_SEED),
             shm: BTreeMap::new(),
             next_shm: 0,
+            sums: EntitySums::default(),
         }
     }
 
@@ -167,98 +171,6 @@ impl KernelState {
             && self.camera.is_none()
             && self.fs.file_count() == 0
             && self.clock.now_ns() == 0
-    }
-
-    /// Digest of the complete observable kernel state: clocks and
-    /// timelines, counters, every process (address-space fingerprint,
-    /// state, filter, fd table), channels, segments and their grant
-    /// tables, the file system, and devices. Two states that evolved
-    /// through the same transition sequence report the same digest; the
-    /// replayer compares this after every re-applied op.
-    ///
-    /// Large payloads (page data, files, segment bytes, ring traffic)
-    /// enter through incrementally-maintained fingerprints, so a digest
-    /// is O(processes + segments + channels), not O(memory).
-    pub fn digest(&self) -> u64 {
-        let mut h = commit::FINGERPRINT_SEED;
-        h = commit::mix(h, self.clock.now_ns());
-        h = commit::mix(
-            h,
-            match self.mode {
-                TimelineMode::Global => 0,
-                TimelineMode::PerProcess => 1,
-            },
-        );
-        h = commit::mix(h, self.time_ctx.summary());
-        h = commit::mix(h, self.timelines.len() as u64);
-        for (pid, t) in &self.timelines {
-            h = commit::mix(commit::mix(h, u64::from(pid.0)), t.now_ns());
-        }
-        h = commit::mix(h, self.metrics.fingerprint());
-        h = commit::mix(h, u64::from(self.next_pid));
-        h = commit::mix(h, u64::from(self.next_channel));
-        h = commit::mix(h, self.next_shm);
-        for (pid, p) in &self.procs {
-            h = commit::mix(h, u64::from(pid.0));
-            h = commit::mix(h, commit::hash_str(&p.name));
-            h = match &p.state {
-                ProcessState::Running => commit::mix(h, 1),
-                ProcessState::Exited(code) => commit::mix(commit::mix(h, 2), *code as u64),
-                ProcessState::Crashed(f) => commit::mix(commit::mix(h, 3), f.summary()),
-            };
-            h = commit::mix(h, u64::from(p.no_new_privs));
-            h = commit::mix(h, p.cpu_ns);
-            h = commit::mix(h, p.aspace.fingerprint());
-            h = commit::mix(h, p.aspace.page_count() as u64);
-            h = commit::mix(h, p.fd_table.len() as u64);
-            for (fd, target) in &p.fd_table {
-                h = commit::mix(h, u64::from(fd.0));
-                h = match target {
-                    FdTarget::File { path, offset } => commit::mix(
-                        commit::mix(commit::mix(h, 1), commit::hash_str(path)),
-                        *offset,
-                    ),
-                    FdTarget::Device(kind) => {
-                        commit::mix(commit::mix(h, 2), commit::hash_str(&format!("{kind:?}")))
-                    }
-                    FdTarget::Socket { dest } => {
-                        commit::mix(commit::mix(h, 3), commit::hash_str(dest))
-                    }
-                };
-            }
-            h = match &p.filter {
-                None => commit::mix(h, 0),
-                Some(f) => {
-                    let mut fh = commit::mix(commit::mix(h, 1), u64::from(f.is_locked()));
-                    for no in f.allowed_numbers() {
-                        fh = commit::mix(fh, no as u64);
-                    }
-                    fh
-                }
-            };
-        }
-        for (id, ch) in &self.channels {
-            h = commit::mix(h, u64::from(id.0));
-            h = commit::mix(h, ch.fingerprint());
-            h = commit::mix(h, u64::from(ch.a.0));
-            h = commit::mix(h, u64::from(ch.b.0));
-        }
-        for (id, seg) in &self.shm {
-            h = commit::mix(h, id.0);
-            h = commit::mix(h, seg.fingerprint());
-            h = commit::mix(h, seg.write_epoch());
-            for (pid, perms) in seg.grants() {
-                h = commit::mix(commit::mix(h, u64::from(pid.0)), u64::from(perms.bits()));
-                h = commit::mix(h, u64::from(seg.is_mapped(pid)));
-            }
-        }
-        h = commit::mix(h, self.fs.fingerprint());
-        h = match &self.camera {
-            None => commit::mix(h, 0),
-            Some(c) => commit::mix(commit::mix(h, 1), c.fingerprint()),
-        };
-        h = commit::mix(h, self.display.fingerprint());
-        commit::mix(h, self.network.fingerprint())
     }
 
     // ------------------------------------------------------------------
@@ -308,8 +220,10 @@ impl KernelState {
         self.procs.get(&pid).ok_or(SimError::NoSuchProcess(pid))
     }
 
-    /// Mutable access to a process (harness-level, not attacker-level).
-    pub fn process_mut(&mut self, pid: Pid) -> SimResult<&mut SimProcess> {
+    /// Mutable access to a process, for the core's transition bodies.
+    /// Every mutation must go through `step` so the commit log and the
+    /// digest's multiset hashes see it.
+    pub(crate) fn process_mut(&mut self, pid: Pid) -> SimResult<&mut SimProcess> {
         self.procs.get_mut(&pid).ok_or(SimError::NoSuchProcess(pid))
     }
 
@@ -460,7 +374,9 @@ impl KernelState {
     ///   minted id is below its high-water counter;
     /// * per-process timelines exist only under per-process time;
     /// * a segment is only mapped by pids that hold a grant on it, and
-    ///   every grant names a tracked process (reaping purges views).
+    ///   every grant names a tracked process (reaping purges views);
+    /// * the incrementally-maintained [`digest`](KernelState::digest)
+    ///   equals the [from-scratch reference](KernelState::reference_digest).
     ///
     /// # Panics
     ///
@@ -495,5 +411,10 @@ impl KernelState {
                 );
             }
         }
+        assert_eq!(
+            self.digest(),
+            self.reference_digest(),
+            "incremental digest drifted from the from-scratch reference"
+        );
     }
 }

@@ -27,6 +27,7 @@ use crate::process::{Pid, ProcessState, SimProcess};
 use crate::shm::{ShmId, ShmSegment};
 use crate::syscall::SyscallRet;
 
+use super::digest::Footprint;
 use super::dispatch::dispatch;
 use super::effects::{Counter, Effect, Effects};
 use super::state::{KernelState, TimelineMode};
@@ -101,8 +102,20 @@ pub fn outcome_of_step(r: &StepResult) -> CommitOutcome {
 /// Applies one transition to `state`, pushing every observable
 /// consequence into `fx` (ending with exactly one [`Effect::Record`])
 /// and returning the typed result.
+///
+/// The digest's multiset hashes are kept current here, around the
+/// transition: the entries named by the op's footprint are retired
+/// before it and admitted after it (see `core/digest.rs`), so the live
+/// recorder and replay share one upkeep path.
 pub fn step(state: &mut KernelState, op: CommitOp, fx: &mut Effects) -> StepResult {
+    let footprint = Footprint::of(state, &op);
+    if let Some(f) = &footprint {
+        f.retire(state, &op);
+    }
     let r = apply(state, &op, fx);
+    if let Some(f) = &footprint {
+        f.admit(state, &op);
+    }
     let outcome = outcome_of_step(&r);
     fx.push(Effect::Record { op, outcome });
     #[cfg(debug_assertions)]

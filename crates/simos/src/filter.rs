@@ -11,6 +11,7 @@
 //! * a **no-new-privs lock** (`PR_SET_NO_NEW_PRIVS`): once locked, a
 //!   compromised process cannot install a more permissive filter.
 
+use crate::commit::{hash_str, mix, FINGERPRINT_SEED};
 use crate::syscall::{Fd, Syscall, SyscallNo};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -146,6 +147,29 @@ impl SyscallFilter {
     /// The allowlisted syscall numbers, sorted.
     pub fn allowed_numbers(&self) -> impl Iterator<Item = SyscallNo> + '_ {
         self.allowed.iter().copied()
+    }
+
+    /// Fingerprint of the rule set — allowlist and fd-argument rules, not
+    /// the lock bit. The kernel computes it once per install (an
+    /// installed filter's rules never change) and caches it for the
+    /// state digest.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = mix(FINGERPRINT_SEED, self.allowed.len() as u64);
+        for no in &self.allowed {
+            h = mix(h, *no as u64);
+        }
+        h = mix(h, self.fd_rules.len() as u64);
+        for (no, rule) in &self.fd_rules {
+            h = mix(mix(h, *no as u64), rule.allowed_fds.len() as u64);
+            for fd in &rule.allowed_fds {
+                h = mix(h, u64::from(fd.0));
+            }
+            h = mix(h, rule.dest_prefixes.len() as u64);
+            for prefix in &rule.dest_prefixes {
+                h = mix(h, hash_str(prefix));
+            }
+        }
+        h
     }
 
     /// Number of allowlisted syscalls.

@@ -64,6 +64,9 @@ pub struct RingChannel {
     /// Incremental fingerprint over the channel's traffic history
     /// (sends, receives, rebinds), feeding the kernel state digest.
     fp: u64,
+    /// This channel's current term in the kernel state digest's
+    /// multiset hash (0 until the kernel core first admits it).
+    pub(crate) digest_term: u64,
 }
 
 /// Error cases for ring operations.
@@ -87,6 +90,7 @@ impl RingChannel {
             a_to_b_bytes: 0,
             b_to_a_bytes: 0,
             fp: FINGERPRINT_SEED,
+            digest_term: 0,
         }
     }
 

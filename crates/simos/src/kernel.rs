@@ -336,7 +336,7 @@ impl Kernel {
     /// [`SimError::Fault`](crate::error::SimError::Fault) is returned.
     pub fn mem_read(&mut self, pid: Pid, addr: Addr, len: u64) -> SimResult<Vec<u8>> {
         self.state.require_running(pid)?;
-        let p = self.state.procs.get_mut(&pid).expect("checked");
+        let p = self.state.process(pid)?;
         match p.aspace.read(addr, len) {
             Ok(bytes) => Ok(bytes),
             Err(kind) => Err(self.deliver_fault(pid, kind, Some(addr)).into()),
@@ -365,7 +365,7 @@ impl Kernel {
     /// Same crash semantics as [`Kernel::mem_read`].
     pub fn mem_fetch(&mut self, pid: Pid, addr: Addr) -> SimResult<()> {
         self.state.require_running(pid)?;
-        let p = self.state.procs.get_mut(&pid).expect("checked");
+        let p = self.state.process(pid)?;
         match p.aspace.fetch(addr) {
             Ok(()) => Ok(()),
             Err(kind) => Err(self.deliver_fault(pid, kind, Some(addr)).into()),

@@ -7,6 +7,7 @@
 //! kernel, which attributes every memory access and syscall to the
 //! current pid.
 
+use crate::commit::hash_str;
 use crate::device::DeviceKind;
 use crate::error::Fault;
 use crate::filter::SyscallFilter;
@@ -81,6 +82,17 @@ pub struct SimProcess {
     pub(crate) next_fd: u32,
     /// Virtual ns of compute attributed to this process.
     pub cpu_ns: u64,
+    /// Digest inputs cached so refreshing this process's state-digest
+    /// entry stays O(1): the name's hash (the name never changes), the
+    /// installed filter's rule fingerprint (refreshed by the kernel core
+    /// on every install — the rules are immutable once installed), and
+    /// the fd table's fingerprint (refreshed after every syscall).
+    pub(crate) name_fp: u64,
+    pub(crate) filter_fp: u64,
+    pub(crate) fd_fp: u64,
+    /// This process's current term in the kernel state digest's
+    /// multiset hash (0 until the kernel core first admits it).
+    pub(crate) digest_term: u64,
 }
 
 impl SimProcess {
@@ -96,6 +108,10 @@ impl SimProcess {
             fd_table: BTreeMap::new(),
             next_fd: 3, // 0..2 reserved, like Unix
             cpu_ns: 0,
+            name_fp: hash_str(name),
+            filter_fp: 0,
+            fd_fp: 0,
+            digest_term: 0,
         }
     }
 

@@ -52,6 +52,9 @@ pub struct ShmSegment {
     /// (creation bytes plus every replacement), so the kernel state
     /// digest never has to re-hash a large payload.
     fp: u64,
+    /// This segment's current term in the kernel state digest's
+    /// multiset hash (0 until the kernel core first admits it).
+    pub(crate) digest_term: u64,
 }
 
 impl ShmSegment {
@@ -63,6 +66,7 @@ impl ShmSegment {
             mapped: BTreeSet::new(),
             writes: 0,
             fp,
+            digest_term: 0,
         }
     }
 

@@ -5,8 +5,8 @@
 use freepart_simos::core::{outcome_of_step, step};
 use freepart_simos::replay::{audit, forensic_chain, replay, DivergenceKind};
 use freepart_simos::{
-    CommitLog, CommitOp, CommitOutcome, Effects, Kernel, KernelState, Perms, Syscall,
-    SyscallFilter, SyscallNo,
+    CommitLog, CommitOp, CommitOutcome, Effects, FaultKind, Fd, Kernel, KernelState, Perms, Pid,
+    ShmId, Syscall, SyscallFilter, SyscallNo,
 };
 use proptest::prelude::*;
 
@@ -35,6 +35,14 @@ enum Step {
     Gui(u8),
     Compute(u8, u16),
     Reset,
+    PerProcessTime,
+    TimeContext(u8, bool),
+    Advance(u8, u16),
+    Charge(u16),
+    ShmProtectAll(u8, u8),
+    ShmDestroy(u8),
+    Rebind(u8, u8),
+    Fault(u8),
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -61,6 +69,14 @@ fn arb_step() -> impl Strategy<Value = Step> {
         any::<u8>().prop_map(Step::Gui),
         (any::<u8>(), 1u16..500).prop_map(|(p, u)| Step::Compute(p, u)),
         Just(Step::Reset),
+        Just(Step::PerProcessTime),
+        (any::<u8>(), any::<bool>()).prop_map(|(p, some)| Step::TimeContext(p, some)),
+        (any::<u8>(), any::<u16>()).prop_map(|(p, n)| Step::Advance(p, n)),
+        any::<u16>().prop_map(Step::Charge),
+        (any::<u8>(), 0u8..5).prop_map(|(s, m)| Step::ShmProtectAll(s, m)),
+        any::<u8>().prop_map(Step::ShmDestroy),
+        (any::<u8>(), any::<u8>()).prop_map(|(c, p)| Step::Rebind(c, p)),
+        any::<u8>().prop_map(Step::Fault),
     ]
 }
 
@@ -181,13 +197,29 @@ fn record(steps: &[Step]) -> CommitLog {
             }
             Step::Sys(p, s) => {
                 if let Some(pid) = pick(&pids, *p) {
-                    let call = match s % 6 {
+                    // Descriptors 3..6 are the first ones a process opens.
+                    let fd = Fd(3 + u32::from(s % 3));
+                    let call = match s % 12 {
                         0 => Syscall::Getpid,
                         1 => Syscall::Fork,
                         2 => Syscall::Uname,
                         3 => Syscall::PrctlNoNewPrivs,
                         4 => Syscall::Brk { grow: 64 },
-                        _ => Syscall::Getrandom { len: 8 },
+                        5 => Syscall::Getrandom { len: 8 },
+                        6 => Syscall::Openat {
+                            path: format!("/f{}", s % 4),
+                            create: true,
+                        },
+                        7 => Syscall::Lseek {
+                            fd,
+                            pos: u64::from(*s),
+                        },
+                        8 => Syscall::Close { fd },
+                        9 => Syscall::Socket,
+                        10 => Syscall::Kill {
+                            target_pid: pids[usize::from(*s) % pids.len()].0,
+                        },
+                        _ => Syscall::Exit { code: 0 },
                     };
                     let _ = k.syscall(pid, call);
                 }
@@ -220,6 +252,40 @@ fn record(steps: &[Step]) -> CommitLog {
                 }
             }
             Step::Reset => k.reset_accounting(),
+            Step::PerProcessTime => k.enable_per_process_time(),
+            Step::TimeContext(p, some) => {
+                k.set_time_context(if *some { pick(&pids, *p) } else { None });
+            }
+            Step::Advance(p, n) => {
+                if let Some(pid) = pick(&pids, *p) {
+                    let to = k.timeline_ns(pid) + u64::from(*n);
+                    k.advance_timeline_to(pid, to);
+                }
+            }
+            Step::Charge(n) => {
+                k.charge_time(u64::from(*n));
+                k.charge_copy(u64::from(*n));
+            }
+            Step::ShmProtectAll(s, m) => {
+                if let Some(id) = pick(&segs, *s) {
+                    let _ = k.shm_protect_all(id, perms_of(*m));
+                }
+            }
+            Step::ShmDestroy(s) => {
+                if let Some(id) = pick(&segs, *s) {
+                    k.shm_destroy(id);
+                }
+            }
+            Step::Rebind(c, p) => {
+                if let (Some(ch), Some(pid)) = (pick(&chans, *c), pick(&pids, *p)) {
+                    let _ = k.rebind_channel(ch, pid);
+                }
+            }
+            Step::Fault(p) => {
+                if let Some(pid) = pick(&pids, *p) {
+                    k.deliver_fault(pid, FaultKind::Abort, None);
+                }
+            }
         }
     }
     k.take_commit_log().unwrap()
@@ -257,6 +323,27 @@ proptest! {
             let got = outcome_of_step(&step(&mut state, rec.op.clone(), &mut fx));
             prop_assert_eq!(got, rec.outcome, "outcome drift at index {}", rec.index);
             prop_assert_eq!(state.digest(), rec.digest, "digest drift at index {}", rec.index);
+        }
+    }
+
+    /// The O(1) digest is exact, not an approximation: after every step
+    /// of an arbitrary sequence, the multiset hashes `step` keeps
+    /// current equal the ones recomputed by walking the whole state.
+    #[test]
+    fn incremental_digest_equals_from_scratch_reference(steps in proptest::collection::vec(arb_step(), 1..80)) {
+        let log = record(&steps);
+        let mut state = KernelState::with_cost_model(log.genesis().clone());
+        let mut fx = Effects::new();
+        for rec in log.records() {
+            fx.clear();
+            let _ = step(&mut state, rec.op.clone(), &mut fx);
+            prop_assert_eq!(
+                state.digest(),
+                state.reference_digest(),
+                "incremental digest drifted at index {} ({})",
+                rec.index,
+                rec.op.name()
+            );
         }
     }
 
@@ -325,4 +412,90 @@ proptest! {
             }
         }
     }
+}
+
+/// Two kernels driven through the same prefix, then through `a` and `b`
+/// respectively — ops chosen to charge the same time and move the same
+/// counters, so the states differ in exactly one field of one entity.
+fn digests_after(
+    prefix: impl Fn(&mut Kernel) -> (Pid, ShmId),
+    a: impl Fn(&mut Kernel, Pid, ShmId),
+    b: impl Fn(&mut Kernel, Pid, ShmId),
+) -> (u64, u64) {
+    let run = |suffix: &dyn Fn(&mut Kernel, Pid, ShmId)| {
+        let mut k = Kernel::new();
+        let (pid, seg) = prefix(&mut k);
+        suffix(&mut k, pid, seg);
+        assert_eq!(k.state_digest(), k.reference_digest());
+        k.state_digest()
+    };
+    (run(&a), run(&b))
+}
+
+fn two_procs_and_a_segment(k: &mut Kernel) -> (Pid, ShmId) {
+    let p = k.spawn("p");
+    let q = k.spawn("q");
+    let seg = k.shm_create(p, vec![1; 64]).unwrap();
+    k.syscall(
+        q,
+        Syscall::Openat {
+            path: "/f".into(),
+            create: true,
+        },
+    )
+    .unwrap();
+    (q, seg)
+}
+
+#[test]
+fn digest_separates_one_process_cpu_time() {
+    // Both runs charge the same compute to the global clock; only one
+    // lands on a tracked process's `cpu_ns`.
+    let (a, b) = digests_after(
+        two_procs_and_a_segment,
+        |k, pid, _| k.charge_compute(pid, 10),
+        |k, _, _| k.charge_compute(Pid(999), 10),
+    );
+    assert_ne!(a, b);
+}
+
+#[test]
+fn digest_separates_one_grant_perms() {
+    let (a, b) = digests_after(
+        two_procs_and_a_segment,
+        |k, pid, seg| k.shm_grant(seg, pid, Perms::R).unwrap(),
+        |k, pid, seg| k.shm_grant(seg, pid, Perms::RW).unwrap(),
+    );
+    assert_ne!(a, b);
+}
+
+#[test]
+fn digest_separates_one_timeline() {
+    let per_process = |k: &mut Kernel| {
+        let ids = two_procs_and_a_segment(k);
+        k.enable_per_process_time();
+        ids
+    };
+    let (a, b) = digests_after(
+        per_process,
+        |k, pid, _| k.advance_timeline_to(pid, 1 << 40),
+        |k, pid, _| k.advance_timeline_to(pid, (1 << 40) + 1),
+    );
+    assert_ne!(a, b);
+}
+
+#[test]
+fn digest_separates_one_fd_offset() {
+    let (a, b) = digests_after(
+        two_procs_and_a_segment,
+        |k, pid, _| {
+            k.syscall(pid, Syscall::Lseek { fd: Fd(3), pos: 5 })
+                .unwrap();
+        },
+        |k, pid, _| {
+            k.syscall(pid, Syscall::Lseek { fd: Fd(3), pos: 6 })
+                .unwrap();
+        },
+    );
+    assert_ne!(a, b);
 }
