@@ -15,7 +15,7 @@
 use freepart::{CallError, Runtime, TenantId, ThreadId};
 use freepart_frameworks::fileio::encode_image;
 use freepart_frameworks::image::Image;
-use freepart_frameworks::Value;
+use freepart_frameworks::{ObjectId, Value};
 
 /// One tenant pipeline's output: the final detector result plus the
 /// processed payload bytes (fetched through the owner's own view).
@@ -52,6 +52,26 @@ const CHAIN: [&str; 4] = [
     "cv2.findContours",
 ];
 
+/// The chain loop both runners share: `call` issues each hooked call
+/// and `fetch` reads the blurred frame back.
+fn run_chain_with(
+    rt: &mut Runtime,
+    path: &str,
+    call: impl Fn(&mut Runtime, &str, Value) -> Result<Value, CallError>,
+    fetch: impl FnOnce(&mut Runtime, ObjectId) -> Result<Vec<u8>, CallError>,
+) -> Result<ChainOutput, CallError> {
+    let mut v = Value::from(path);
+    let mut blurred = None;
+    for api in CHAIN {
+        v = call(rt, api, v)?;
+        if api == "cv2.GaussianBlur" {
+            blurred = v.as_obj();
+        }
+    }
+    let bytes = fetch(rt, blurred.expect("blur returns an object"))?;
+    Ok(ChainOutput { rects: v, bytes })
+}
+
 /// Runs one tenant's chain through the shared pools (DRR-scheduled).
 ///
 /// # Errors
@@ -62,17 +82,8 @@ pub fn run_chain_pooled(
     tenant: TenantId,
     path: &str,
 ) -> Result<ChainOutput, CallError> {
-    let mut v = Value::from(path);
-    let mut blurred = None;
-    for api in CHAIN {
-        v = rt.call_tenant(tenant, api, &[v])?;
-        if api == "cv2.GaussianBlur" {
-            blurred = v.as_obj();
-        }
-    }
-    let blurred = blurred.expect("blur returns an object");
-    let bytes = rt.tenant_fetch(tenant, blurred)?;
-    Ok(ChainOutput { rects: v, bytes })
+    let call = |rt: &mut Runtime, api: &str, v| rt.call_tenant(tenant, api, &[v]);
+    run_chain_with(rt, path, call, |rt, obj| rt.tenant_fetch(tenant, obj))
 }
 
 /// Runs the identical chain on a dedicated application thread with its
@@ -86,17 +97,8 @@ pub fn run_chain_on(
     thread: ThreadId,
     path: &str,
 ) -> Result<ChainOutput, CallError> {
-    let mut v = Value::from(path);
-    let mut blurred = None;
-    for api in CHAIN {
-        v = rt.call_on(thread, api, &[v])?;
-        if api == "cv2.GaussianBlur" {
-            blurred = v.as_obj();
-        }
-    }
-    let blurred = blurred.expect("blur returns an object");
-    let bytes = rt.fetch_bytes(blurred)?;
-    Ok(ChainOutput { rects: v, bytes })
+    let call = |rt: &mut Runtime, api: &str, v| rt.call_on(thread, api, &[v]);
+    run_chain_with(rt, path, call, Runtime::fetch_bytes)
 }
 
 /// Runs every tenant's chain through the pools stage-by-stage: stage

@@ -10,14 +10,14 @@
 //!
 //! Tracing never charges virtual time, so the traced FreePart run must
 //! land on exactly the same clock value as an untraced one — the report
-//! asserts that, and asserts the component sum matches the end-to-end
-//! overhead `hotpath` reports to within 1%.
+//! asserts that, and asserts that no two leaf spans overlap in virtual
+//! time, so no component counts the same nanoseconds twice.
 //!
 //! ```text
 //! cargo run --release -p freepart-bench --bin freepart-report
 //! ```
 
-use freepart::{FlushReason, Policy, Runtime, SpanPhase};
+use freepart::{FlushReason, Policy, Runtime, SpanEvent, SpanPhase, Tracer};
 use freepart_apps::{drone, omr};
 use freepart_baselines::schemes::Named;
 use freepart_baselines::{build, ApiSurface, SchemeKind};
@@ -48,6 +48,24 @@ fn kb(bytes: u64) -> String {
 
 fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e3)
+}
+
+/// Checks that no two leaf spans (phases with a [`SpanPhase::bucket`])
+/// overlap in virtual time: the decomposition sums leaf durations per
+/// bucket, so an overlap counts the same time twice. Returns the leaf
+/// count, or the first overlapping pair (after sorting by start, any
+/// overlap shows up between neighbours).
+fn check_leaves(tracer: &Tracer) -> Result<usize, String> {
+    let mut leaves: Vec<&SpanEvent> = tracer
+        .events()
+        .iter()
+        .filter(|e| e.phase.bucket().is_some())
+        .collect();
+    leaves.sort_by_key(|e| (e.start_ns, e.end_ns));
+    match leaves.windows(2).find(|w| w[1].start_ns < w[0].end_ns) {
+        Some(w) => Err(format!("{:?} overlaps {:?}", w[0], w[1])),
+        None => Ok(leaves.len()),
+    }
 }
 
 fn main() {
@@ -94,7 +112,6 @@ fn main() {
         ("restart/snapshot", buckets.other_ns as i64),
         ("compute delta", compute_delta),
     ];
-    let sum: i64 = components.iter().map(|(_, v)| v).sum();
 
     println!("OMR grader, 24 samples (virtual time)");
     println!("  original     : {:>12} ns", t_orig);
@@ -115,14 +132,8 @@ fn main() {
     }
     decomp.print("FreePart overhead decomposition (OMR)");
 
-    let gap = (sum - overhead).abs();
-    assert!(
-        gap as f64 <= 0.01 * overhead.max(1) as f64,
-        "decomposition drifted: components sum to {sum} ns vs {overhead} ns overhead"
-    );
-    println!(
-        "\ndecomposition check: components sum to {sum} ns vs {overhead} ns end-to-end (gap {gap} ns) ✓"
-    );
+    let leaves = check_leaves(rt.tracer()).expect("decomposition double-counts");
+    println!("\ndecomposition check: {leaves} leaf spans, none overlapping in virtual time ✓");
 
     // ---- per-partition telemetry ----
     let labels: std::collections::BTreeMap<_, _> = rt.partition_labels().into_iter().collect();
@@ -316,4 +327,41 @@ fn main() {
         rt.tracer().events().len(),
         rt.partition_labels().len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use freepart::ThreadId;
+
+    #[test]
+    fn a_response_overlapping_the_next_marshal_fails_the_check() {
+        let mut t = Tracer::new();
+        t.enable();
+        for (phase, seq, start_ns, end_ns) in [
+            (SpanPhase::Call, 1, 0, 20),
+            (SpanPhase::Marshal, 1, 0, 10),
+            (SpanPhase::Response, 1, 10, 20),
+            (SpanPhase::Marshal, 2, 20, 30),
+            // Call 2 is deferred: its response leg covers call 3's marshal.
+            (SpanPhase::Response, 2, 30, 50),
+            (SpanPhase::Marshal, 3, 40, 45),
+        ] {
+            assert!(check_leaves(&t).is_ok(), "parent spans may enclose leaves");
+            let (api, partition, thread, bytes) = (None, None, ThreadId::MAIN, 0);
+            let span = SpanEvent {
+                phase,
+                seq,
+                api,
+                partition,
+                thread,
+                start_ns,
+                end_ns,
+                bytes,
+            };
+            t.span(span);
+        }
+        let err = check_leaves(&t).expect_err("the deferred response overlaps");
+        assert!(err.contains("Response") && err.contains("seq: 3"), "{err}");
+    }
 }

@@ -13,6 +13,7 @@
 //! cargo run --release -p freepart-bench --bin hotpath
 //! ```
 
+use freepart::trace::json_escape;
 use freepart::Policy;
 use freepart_apps::{drone, omr};
 use freepart_baselines::{build, ApiSurface, SchemeKind};
@@ -114,10 +115,6 @@ fn pipeline_runs(pipeline: &'static str, universe: &[ApiId]) -> Vec<Run> {
     rows
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn to_json(rows: &[Run]) -> String {
     let mut out = String::from("{\n  \"runs\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -166,17 +163,16 @@ fn main() {
         ]);
     }
     table.print("Hooked-call data-plane overhead (virtual time)");
+    let row = |pipeline: &str, scheme: &str| {
+        rows.iter()
+            .find(|r| r.pipeline == pipeline && r.scheme == scheme)
+            .expect("row present")
+    };
 
     // The whole point of LDC: on the OMR pipeline, lazy copies must not
     // be slower than eager through-host copies.
-    let omr_time = |scheme: &str| {
-        rows.iter()
-            .find(|r| r.pipeline == "omr" && r.scheme == scheme)
-            .expect("row present")
-            .time_ns
-    };
-    let ldc = omr_time(SchemeKind::FreePart.name());
-    let eager = omr_time("FreePart (no LDC)");
+    let ldc = row("omr", SchemeKind::FreePart.name()).time_ns;
+    let eager = row("omr", "FreePart (no LDC)").time_ns;
     assert!(
         ldc <= eager,
         "LDC regressed: {ldc} ns with LDC vs {eager} ns eager"
@@ -185,14 +181,8 @@ fn main() {
 
     // The whole point of shm: page-mapping large payloads must move
     // strictly fewer bytes across address spaces than LDC copies.
-    let omr_bytes = |scheme: &str| {
-        rows.iter()
-            .find(|r| r.pipeline == "omr" && r.scheme == scheme)
-            .expect("row present")
-            .transfer_bytes
-    };
-    let shm_bytes = omr_bytes("FreePart (shm)");
-    let ldc_bytes = omr_bytes(SchemeKind::FreePart.name());
+    let shm_bytes = row("omr", "FreePart (shm)").transfer_bytes;
+    let ldc_bytes = row("omr", SchemeKind::FreePart.name()).transfer_bytes;
     assert!(
         shm_bytes < ldc_bytes,
         "shm transport regressed: {shm_bytes} bytes shm vs {ldc_bytes} bytes LDC"
@@ -202,13 +192,8 @@ fn main() {
     // The whole point of batching: coalescing same-partition bursts must
     // cut OMR's frame count to at most 60% of the per-call plane without
     // costing any virtual time.
-    let omr_row = |scheme: &str| {
-        rows.iter()
-            .find(|r| r.pipeline == "omr" && r.scheme == scheme)
-            .expect("row present")
-    };
-    let batched = omr_row("FreePart (batched)");
-    let unbatched = omr_row(SchemeKind::FreePart.name());
+    let batched = row("omr", "FreePart (batched)");
+    let unbatched = row("omr", SchemeKind::FreePart.name());
     assert!(
         batched.ipc * 10 <= unbatched.ipc * 6,
         "batching regressed: {} frames batched vs {} unbatched (need <= 60%)",
@@ -230,13 +215,8 @@ fn main() {
     // cost more virtual time than the best hand-tuned static preset
     // (batched) — on either pipeline.
     for pipeline in ["omr", "drone"] {
-        let row = |scheme: &str| {
-            rows.iter()
-                .find(|r| r.pipeline == pipeline && r.scheme == scheme)
-                .expect("row present")
-        };
-        let adaptive = row("FreePart (adaptive)");
-        let batched = row("FreePart (batched)");
+        let adaptive = row(pipeline, "FreePart (adaptive)");
+        let batched = row(pipeline, "FreePart (batched)");
         assert!(
             adaptive.time_ns <= batched.time_ns,
             "adaptive regressed on {pipeline}: {} ns adaptive vs {} ns batched",

@@ -210,7 +210,7 @@ fn run_leak() -> Leak {
     // the grant the attacker never gets)…
     rt.tenant_fetch(victim, victim_obj)
         .expect("owner reads its own frame");
-    // …and the attacker's identical fetch dies at the capability gate.
+    // …and the attacker's identical fetch dies at the tenant gate.
     let steal = rt.tenant_fetch(attacker, victim_obj);
     let denied = matches!(steal, Err(CallError::TenantDenied { .. }));
     let audited = rt

@@ -15,14 +15,11 @@
 //! cargo run --release -p freepart-bench --bin pipeline
 //! ```
 
+use freepart::trace::json_escape;
 use freepart_bench::fmt::pct;
 use freepart_bench::{pipeline_comparison, workspace_root, PipelineRun, Table};
 
 const FRAMES: u32 = 30;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn to_json(rows: &[PipelineRun], speedup: f64) -> String {
     let mut out = format!(

@@ -99,7 +99,7 @@ impl Default for RestartBudget {
 ///
 /// All fields are integers so controller state stays exactly
 /// reproducible (no float drift between runs) and the config itself is
-/// `Eq`-comparable. The EWMA smoothing factor is `1 / 2^ewma_shift`.
+/// `Eq`-comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Object-size threshold (bytes) the controller *may* enable per
@@ -110,14 +110,6 @@ pub struct AdaptiveConfig {
     /// Upper bound on the per-partition batch window the controller can
     /// pick. Mirrors [`Policy::DEFAULT_BATCH_WINDOW`].
     pub max_batch_window: usize,
-    /// Upper bound on the per-partition pipeline (in-flight) window.
-    pub max_pipeline_window: usize,
-    /// EWMA smoothing: new estimates blend in at weight `1 / 2^shift`.
-    pub ewma_shift: u32,
-    /// Hysteresis hold-down: after any knob change the partition's
-    /// knobs are pinned for this many decision points, so estimates
-    /// hovering at a boundary cannot make decisions flap.
-    pub hold_points: u32,
 }
 
 impl Default for AdaptiveConfig {
@@ -125,9 +117,6 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             shm_threshold: Policy::DEFAULT_SHM_THRESHOLD,
             max_batch_window: Policy::DEFAULT_BATCH_WINDOW,
-            max_pipeline_window: 8,
-            ewma_shift: 1,
-            hold_points: 2,
         }
     }
 }
@@ -138,10 +127,9 @@ impl Default for AdaptiveConfig {
 /// *pools*: every tenant pipeline routes its hooked calls to the same
 /// four agent processes instead of owning a private striped agent set,
 /// so the data plane runs 4 + N processes instead of 5N. Isolation
-/// inside each shared agent comes from per-tenant capability slots
-/// (object handles and shm grants are gated on the calling tenant's
-/// namespace) and fairness from deficit-round-robin run queues per
-/// pool.
+/// inside each shared agent comes from the tenant gate (every object
+/// handle is checked against the calling tenant's namespace) and
+/// fairness from deficit-round-robin run queues per pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Deficit-round-robin quantum: cost units (one per hooked call)
@@ -226,7 +214,7 @@ pub struct Policy {
     pub adaptive: Option<AdaptiveConfig>,
     /// Multi-tenant pooled serving: N tenant pipelines share the four
     /// `part0..part3` agent pools (4 + N processes instead of 5N), with
-    /// per-tenant capability slots inside each shared agent and
+    /// a host-side tenant gate on every object handle and
     /// deficit-round-robin fair scheduling across tenants. `None`
     /// disables pooling entirely, preserving the one-agent-set-per-
     /// pipeline plane bit-for-bit.
@@ -353,8 +341,8 @@ impl Policy {
 
     /// Full FreePart in multi-tenant pooled serving mode: N tenant
     /// pipelines multiplex hooked calls over the shared `part0..part3`
-    /// agent pools with per-tenant capability slots and deficit-round-
-    /// robin fairness. Everything else stays at the proven defaults —
+    /// agent pools with the tenant gate and deficit-round-robin
+    /// fairness. Everything else stays at the proven defaults —
     /// pooling composes with shm, batching, supervision, and recording
     /// by setting those knobs alongside `pooled`.
     pub fn freepart_pooled() -> Policy {

@@ -231,9 +231,6 @@ impl BatchResponse {
 #[derive(Debug, Default)]
 pub struct CompletionCache {
     done: BTreeMap<u64, Value>,
-    /// Pooled mode: which tenant's call produced each journal entry.
-    /// Pruned in lockstep with `done`.
-    tenants: BTreeMap<u64, u32>,
     capacity: usize,
     /// Highest sequence number the host has acknowledged consuming.
     acked: u64,
@@ -244,7 +241,6 @@ impl CompletionCache {
     pub fn new(capacity: usize) -> CompletionCache {
         CompletionCache {
             done: BTreeMap::new(),
-            tenants: BTreeMap::new(),
             capacity,
             acked: 0,
         }
@@ -257,36 +253,10 @@ impl CompletionCache {
 
     /// Records a completion, evicting the oldest entries past capacity.
     pub fn complete(&mut self, seq: u64, result: Value) {
-        self.complete_tagged(seq, result, None);
-    }
-
-    /// Records a completion attributed to a tenant (pooled mode): the
-    /// shared agent's journal stays partitioned by tenant, so restart
-    /// recovery can prove each tenant's calls replayed exactly once.
-    pub fn complete_tagged(&mut self, seq: u64, result: Value, tenant: Option<u32>) {
         self.done.insert(seq, result);
-        if let Some(t) = tenant {
-            self.tenants.insert(seq, t);
-        }
         while self.done.len() > self.capacity {
-            let oldest = *self.done.keys().next().expect("non-empty");
-            self.done.remove(&oldest);
-            self.tenants.remove(&oldest);
+            self.done.pop_first();
         }
-    }
-
-    /// The tenant a journaled completion belongs to, when tagged.
-    pub fn tenant_of(&self, seq: u64) -> Option<u32> {
-        self.tenants.get(&seq).copied()
-    }
-
-    /// Journal sequence numbers currently held for one tenant.
-    pub fn tenant_entries(&self, tenant: u32) -> Vec<u64> {
-        self.tenants
-            .iter()
-            .filter(|(_, t)| **t == tenant)
-            .map(|(s, _)| *s)
-            .collect()
     }
 
     /// Acknowledges that the host consumed the response for `seq`:
@@ -300,7 +270,6 @@ impl CompletionCache {
         self.acked = seq;
         // split_off keeps entries > seq; everything at or below is dead.
         self.done = self.done.split_off(&(seq + 1));
-        self.tenants = self.tenants.split_off(&(seq + 1));
     }
 
     /// The highest acknowledged sequence number.

@@ -271,36 +271,6 @@ impl Runtime {
         }
     }
 
-    /// Pooled per-tenant drain barrier: retires every in-flight call of
-    /// `thread`, plus whatever older calls sit ahead of them in their
-    /// pools' FIFO rings. Other tenants' younger calls stay in flight —
-    /// the transition's mprotect storm cannot touch their objects (the
-    /// capability gate keeps namespaces disjoint), so per-tenant
-    /// transition barriers compose without a global quiesce.
-    pub(super) fn drain_thread_inflight(&mut self, thread: ThreadId) {
-        let parts: Vec<PartitionId> = self
-            .inflight_by_partition
-            .iter()
-            .filter(|(_, q)| {
-                q.iter()
-                    .any(|s| self.inflight.get(s).is_some_and(|i| i.thread == thread))
-            })
-            .map(|(p, _)| *p)
-            .collect();
-        for p in parts {
-            while let Some(q) = self.inflight_by_partition.get(&p) {
-                let has_ours = q
-                    .iter()
-                    .any(|s| self.inflight.get(s).is_some_and(|i| i.thread == thread));
-                if !has_ours {
-                    break;
-                }
-                let front = q[0];
-                self.retire_one(front);
-            }
-        }
-    }
-
     /// Number of submitted-but-unretired calls.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
@@ -367,22 +337,12 @@ impl Runtime {
         // be in flight across it, on *any* partition. The open batch
         // flushes first (no batch may straddle a transition record),
         // then everything in flight drains before the transition is
-        // observed below.
+        // observed below. Shared pools drain the same way: each pool's
+        // window bounds its in-flight queue, so the drain is
+        // O(pools × window) however many tenants share the pools.
         if !neutral && self.states[&thread].would_transition(api_type) {
             self.flush_batch(FlushReason::Transition);
-            if !self.inflight.is_empty() {
-                if self.pooled() {
-                    // Pooled mode: the mprotect storm touches only this
-                    // tenant's (and shared) objects, so only this
-                    // tenant's calls must drain. Each pool's window
-                    // bounds the in-flight queue, so the partial drain
-                    // is O(pools × window) — independent of how many
-                    // tenants share the pools.
-                    self.drain_thread_inflight(thread);
-                } else {
-                    self.drain_inflight();
-                }
-            }
+            self.drain_inflight();
         }
 
         // One sequence number per *logical* call: a crash-retry re-sends
@@ -435,13 +395,7 @@ impl Runtime {
                 // of the state being left are torn down inside the same
                 // barrier as the mprotect storm — the in-flight queue is
                 // already drained, so no call can straddle the revokes.
-                // Pooled mode sweeps only the transitioning tenant's
-                // (plus shared) segments: O(1) in the tenant count.
-                if self.pooled() {
-                    self.revoke_out_of_state_grants_for(thread, seq);
-                } else {
-                    self.revoke_out_of_state_grants(seq);
-                }
+                self.revoke_out_of_state_grants(thread, seq);
                 // Adaptive decision point: the system is quiescent here
                 // (batch flushed, in-flight retired into the registry,
                 // grants revoked), so the controller may re-pick knobs

@@ -20,7 +20,7 @@
 //!   mint extra `WindowFull` frames and regress below the static
 //!   batched preset.
 //! * **pipeline window** — sized to cover the batch window (a batch is
-//!   one in-flight unit), bounded by `max_pipeline_window`.
+//!   one in-flight unit), bounded by [`MAX_PIPELINE_WINDOW`].
 //!
 //! ## Why decisions only happen at drain barriers
 //!
@@ -42,7 +42,7 @@
 use super::{Runtime, DEFAULT_PIPELINE_WINDOW};
 use crate::partition::PartitionId;
 use crate::policy::AdaptiveConfig;
-use crate::trace::{FlushReason, PolicyDecision, SpanPhase, Tracer};
+use crate::trace::{PolicyDecision, Tracer};
 use freepart_frameworks::api::ApiId;
 use std::collections::BTreeMap;
 
@@ -54,6 +54,17 @@ const SINGLETON_BATCH_X16: u64 = 20;
 /// Flush-mix samples required before the controller trusts the
 /// calls-per-batch estimate enough to disable batching.
 const MIN_BATCH_SAMPLES: u64 = 2;
+
+/// Upper bound on the per-partition pipeline (in-flight) window.
+const MAX_PIPELINE_WINDOW: usize = 8;
+
+/// EWMA smoothing: new estimates blend in at weight `1 / 2^EWMA_SHIFT`.
+const EWMA_SHIFT: u32 = 1;
+
+/// Hysteresis hold-down: after any knob change the partition's knobs
+/// are pinned for this many decision points, so estimates hovering at
+/// a boundary cannot make decisions flap.
+const HOLD_POINTS: u32 = 2;
 
 /// One partition's knob configuration, as decided by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,27 +86,18 @@ impl AdaptiveKnobs {
         AdaptiveKnobs {
             shm_promoted: false,
             batch_window: Some(cfg.max_batch_window.max(1)),
-            pipeline_window: DEFAULT_PIPELINE_WINDOW.min(cfg.max_pipeline_window).max(1),
+            pipeline_window: DEFAULT_PIPELINE_WINDOW,
         }
     }
 }
 
-/// Integer EWMA: blend `sample` in at weight `1 / 2^shift`. The first
-/// sample seeds the estimate directly (`seeded = false`).
-fn blend(prev: u64, sample: u64, shift: u32, seeded: bool) -> u64 {
+/// Integer EWMA: blend `sample` in at weight `1 / 2^EWMA_SHIFT`. The
+/// first sample seeds the estimate directly (`seeded = false`).
+fn blend(prev: u64, sample: u64, seeded: bool) -> u64 {
     if !seeded {
         return sample;
     }
-    prev - (prev >> shift) + (sample >> shift)
-}
-
-fn flush_index(reason: FlushReason) -> usize {
-    match reason {
-        FlushReason::PartitionSwitch => 0,
-        FlushReason::Hazard => 1,
-        FlushReason::Transition => 2,
-        FlushReason::WindowFull => 3,
-    }
+    prev - (prev >> EWMA_SHIFT) + (sample >> EWMA_SHIFT)
 }
 
 /// Per-(partition, API) flow estimator: a cursor into the cumulative
@@ -117,8 +119,6 @@ struct Flow {
 struct PartitionEstimate {
     /// EWMA payload bytes per retired call, across the partition's APIs.
     ewma_bytes_per_call: u64,
-    /// EWMA virtual-ns between retirements (decision window / calls).
-    ewma_gap_ns: u64,
     /// Decision windows that contributed a sample.
     samples: u64,
 }
@@ -131,13 +131,9 @@ pub(super) struct Controller {
     flows: BTreeMap<(PartitionId, ApiId), Flow>,
     parts: BTreeMap<PartitionId, PartitionEstimate>,
     /// Hold-down counters: a partition whose knobs just moved keeps
-    /// them pinned for `cfg.hold_points` decision points.
+    /// them pinned for [`HOLD_POINTS`] decision points.
     hold: BTreeMap<PartitionId, u32>,
-    /// Virtual time of the previous decision point.
-    last_decision_ns: u64,
-    /// Span-log cursor (host-dereference counting).
-    events_cursor: usize,
-    /// Flush-log cursor (flush-reason mix + calls-per-batch).
+    /// Flush-log cursor (calls-per-batch).
     flushes_cursor: usize,
     /// Global EWMA calls per flushed batch, fixed-point ×16. Global
     /// because flush records carry the submitting thread, not a
@@ -154,8 +150,6 @@ impl Controller {
             flows: BTreeMap::new(),
             parts: BTreeMap::new(),
             hold: BTreeMap::new(),
-            last_decision_ns: 0,
-            events_cursor: 0,
             flushes_cursor: 0,
             ewma_calls_per_batch_x16: 0,
             batch_samples: 0,
@@ -196,35 +190,20 @@ impl Controller {
     }
 
     /// One decision point, at a state-transition drain barrier: fold
-    /// registry/span/flush deltas into the estimators, then re-pick
+    /// registry/flush deltas into the estimators, then re-pick
     /// each active partition's knobs under hysteresis. Every partition
     /// that saw traffic emits one [`PolicyDecision`] record (with
     /// `changed = false` for holds and re-confirmations).
     pub(super) fn decide(&mut self, tracer: &mut Tracer, now: u64, seq: u64) {
-        // Host dereferences since the previous decision point (global —
-        // HostFetch spans carry no partition attribution).
-        let host_fetches = tracer
-            .events_since(self.events_cursor)
-            .iter()
-            .filter(|e| e.phase == SpanPhase::HostFetch)
-            .count() as u64;
-        self.events_cursor = tracer.events().len();
-
-        // Flush-reason mix + calls-per-batch since the previous point.
-        let mut flush_mix = [0u64; 4];
-        let mut flush_frames = 0u64;
-        let mut flush_calls = 0u64;
-        for (_, _, reason, calls) in &tracer.batch_flushes()[self.flushes_cursor..] {
-            flush_mix[flush_index(*reason)] += 1;
-            flush_frames += 1;
-            flush_calls += *calls as u64;
-        }
+        // Calls-per-batch since the previous point.
+        let flushes = &tracer.batch_flushes()[self.flushes_cursor..];
+        let flush_frames = flushes.len() as u64;
+        let flush_calls: u64 = flushes.iter().map(|(_, _, _, calls)| *calls as u64).sum();
         self.flushes_cursor = tracer.batch_flushes().len();
         if let Some(sample) = (flush_calls * 16).checked_div(flush_frames) {
             self.ewma_calls_per_batch_x16 = blend(
                 self.ewma_calls_per_batch_x16,
                 sample,
-                self.cfg.ewma_shift,
                 self.batch_samples > 0,
             );
             self.batch_samples += 1;
@@ -239,12 +218,8 @@ impl Controller {
             let d_calls = cell.calls - flow.seen_calls;
             let d_bytes = total_bytes - flow.seen_bytes;
             if let Some(per_call) = d_bytes.checked_div(d_calls) {
-                flow.ewma_bytes_per_call = blend(
-                    flow.ewma_bytes_per_call,
-                    per_call,
-                    self.cfg.ewma_shift,
-                    flow.samples > 0,
-                );
+                flow.ewma_bytes_per_call =
+                    blend(flow.ewma_bytes_per_call, per_call, flow.samples > 0);
                 flow.samples += 1;
             }
             flow.seen_calls = cell.calls;
@@ -253,28 +228,14 @@ impl Controller {
             *part_bytes.entry(*p).or_default() += d_bytes;
         }
 
-        let window_ns = now.saturating_sub(self.last_decision_ns);
-        self.last_decision_ns = now;
-
         for (partition, d_calls) in part_calls {
             if d_calls == 0 {
                 continue;
             }
             let d_bytes = part_bytes.get(&partition).copied().unwrap_or(0);
             let est = self.parts.entry(partition).or_default();
-            let seeded = est.samples > 0;
-            est.ewma_bytes_per_call = blend(
-                est.ewma_bytes_per_call,
-                d_bytes / d_calls,
-                self.cfg.ewma_shift,
-                seeded,
-            );
-            est.ewma_gap_ns = blend(
-                est.ewma_gap_ns,
-                window_ns / d_calls,
-                self.cfg.ewma_shift,
-                seeded,
-            );
+            est.ewma_bytes_per_call =
+                blend(est.ewma_bytes_per_call, d_bytes / d_calls, est.samples > 0);
             est.samples += 1;
             let est = *est;
 
@@ -303,16 +264,14 @@ impl Controller {
             next.pipeline_window = next
                 .batch_window
                 .unwrap_or(0)
-                .max(DEFAULT_PIPELINE_WINDOW)
-                .min(self.cfg.max_pipeline_window)
-                .max(1);
+                .clamp(DEFAULT_PIPELINE_WINDOW, MAX_PIPELINE_WINDOW);
 
             // Hysteresis hold-down, then apply.
             let held = self.hold.get(&partition).copied().unwrap_or(0);
             let changed = next != old && held == 0;
             if changed {
                 self.knobs.insert(partition, next);
-                self.hold.insert(partition, self.cfg.hold_points);
+                self.hold.insert(partition, HOLD_POINTS);
             } else if held > 0 {
                 self.hold.insert(partition, held - 1);
             }
@@ -325,10 +284,7 @@ impl Controller {
                 batch_window: effective.batch_window,
                 pipeline_window: effective.pipeline_window,
                 est_bytes_per_call: est.ewma_bytes_per_call,
-                est_gap_ns: est.ewma_gap_ns,
                 est_calls_per_batch_x16: self.ewma_calls_per_batch_x16,
-                est_host_fetches: host_fetches,
-                flush_mix,
                 changed,
             });
         }
@@ -403,6 +359,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::FlushReason;
 
     fn cfg() -> AdaptiveConfig {
         AdaptiveConfig::default()
@@ -418,11 +375,11 @@ mod tests {
 
     #[test]
     fn blend_seeds_then_smooths() {
-        assert_eq!(blend(0, 1000, 1, false), 1000);
-        assert_eq!(blend(1000, 1000, 1, true), 1000);
+        assert_eq!(blend(0, 1000, false), 1000);
+        assert_eq!(blend(1000, 1000, true), 1000);
         // Half-weight blend moves halfway toward the sample.
-        assert_eq!(blend(1000, 2000, 1, true), 1500);
-        assert_eq!(blend(2000, 0, 1, true), 1000);
+        assert_eq!(blend(1000, 2000, true), 1500);
+        assert_eq!(blend(2000, 0, true), 1000);
     }
 
     #[test]
@@ -447,7 +404,7 @@ mod tests {
         tracer.add_lazy_bytes(2, 600);
         tracer.finish_call(2, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
         // Burn through the hold-down with idle decision points first.
-        for s in 3..=(2 + u64::from(cfg().hold_points)) {
+        for s in 3..=(2 + u64::from(HOLD_POINTS)) {
             c.decide(&mut tracer, 1_000 * s, s);
         }
         c.decide(&mut tracer, 10_000, 9);
@@ -469,11 +426,11 @@ mod tests {
         c.decide(&mut tracer, 1_000, 1);
         assert!(c.knobs_for(p).shm_promoted);
         // A sudden collapse to zero-byte calls wants demotion, but the
-        // hold-down pins the knobs for `hold_points` decision points —
+        // hold-down pins the knobs for `HOLD_POINTS` decision points —
         // and the EWMA itself takes log2(8192/512) = 4 windows to decay
         // below the demotion bound. Feed zero-byte windows and record
         // when demotion lands.
-        let hold = u64::from(cfg().hold_points);
+        let hold = u64::from(HOLD_POINTS);
         let mut demoted_at = None;
         for s in 2..=12u64 {
             tracer.begin_call(s);

@@ -145,8 +145,8 @@ impl Runtime {
         for a in &req.args {
             a.collect_objects(&mut needed);
         }
-        // Pooled capability gate: a call naming another tenant's object
-        // is refused *here* — before hazard merges, payload moves, or
+        // Pooled tenant gate: a call naming another tenant's object is
+        // refused *here* — before hazard merges, payload moves, or
         // execution — so no foreign byte ever reaches the shared agent
         // on the caller's behalf. O(args × log objects), independent of
         // the tenant count.
@@ -252,24 +252,12 @@ impl Runtime {
         // The call is now complete agent-side: journal it *before* the
         // response leg, so a crash in the response window is recoverable
         // by replaying the journal instead of re-executing side effects.
-        // Pooled mode tags the entry with its tenant and mints the
-        // tenant's capability slots for everything the call legitimately
-        // touched or created — the agent-side record of which namespaces
-        // it has admitted, carried across restarts with the journal.
         let journal_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-        let tenant_tag = (self.pooled() && thread != ThreadId::MAIN).then_some(thread.0);
-        {
-            let agent = self.agents.get_mut(&partition).expect("agent exists");
-            agent
-                .cache
-                .complete_tagged(req.seq, result.clone(), tenant_tag);
-            if let Some(t) = tenant_tag {
-                let slots = agent.caps.entry(t).or_default();
-                slots.extend(needed.iter().copied());
-                slots.extend(new_ids.iter().copied());
-                slots.extend(result.as_obj());
-            }
-        }
+        self.agents
+            .get_mut(&partition)
+            .expect("agent exists")
+            .cache
+            .complete(req.seq, result.clone());
         if tracing {
             let now = self.kernel.now_ns();
             self.tracer.span(SpanEvent {

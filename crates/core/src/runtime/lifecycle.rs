@@ -267,10 +267,6 @@ impl Runtime {
                 // channel, not the dead process: the respawned agent can
                 // still answer re-delivered requests it already executed.
                 cache: agent.cache,
-                // So do the tenant capability slots: every tenant's
-                // namespace is re-admitted wholesale, or cross-tenant
-                // denials after a restart would hit legitimate owners.
-                caps: agent.caps,
             },
         );
         // Reap the corpse inside the same drain barrier as the respawn:

@@ -55,12 +55,11 @@ use crate::trace::Tracer;
 use freepart_analysis::{HybridReport, SyscallProfile, TestCorpus};
 use freepart_frameworks::api::{ApiId, ApiRegistry};
 use freepart_frameworks::{ActionReport, FrameworkError, ObjectId, ObjectKind, ObjectStore, Value};
-use freepart_simos::{Addr, ChannelId, DrrScheduler, Kernel, Perms, Pid, ShmId};
+use freepart_simos::{Addr, ChannelId, Kernel, Perms, Pid, ShmId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use callplane::{InFlight, PendingBatch};
-use pool::Ticket;
 
 /// Identifier of an application thread. Per the paper's §6, every
 /// thread gets its **own set of agent processes** (and its own
@@ -95,7 +94,7 @@ impl Runtime {
     /// Whether the runtime serves in pooled multi-tenant mode
     /// (`Policy::pooled`).
     pub fn pooled(&self) -> bool {
-        self.pool_sched.is_some()
+        self.pool.is_some()
     }
 
     /// Resolves the partition a thread's call actually routes to: in
@@ -103,7 +102,7 @@ impl Runtime {
     /// pools (no per-thread striping); otherwise each thread owns its
     /// striped agent set.
     pub(super) fn route_partition(&self, thread: ThreadId, base: PartitionId) -> PartitionId {
-        if self.pool_sched.is_some() {
+        if self.pooled() {
             base
         } else {
             thread_partition(thread, base)
@@ -163,14 +162,6 @@ pub struct Agent {
     /// Completed calls.
     pub calls: u64,
     cache: CompletionCache,
-    /// Pooled mode: per-tenant capability slots — the object handles
-    /// each tenant's namespace has been admitted to at this agent.
-    /// Minted when a tenant's own call defines or legitimately consumes
-    /// an object here; checked (against ownership) before any handle or
-    /// shm grant crosses into the agent on a tenant's behalf. Carried
-    /// across restarts with the journal, so a respawn re-admits every
-    /// tenant's namespace.
-    caps: BTreeMap<u32, BTreeSet<ObjectId>>,
 }
 
 impl Agent {
@@ -184,24 +175,6 @@ impl Agent {
     /// journal entries at or below it are pruned.
     pub fn journal_watermark(&self) -> u64 {
         self.cache.acked_watermark()
-    }
-
-    /// Capability slots held by one tenant's namespace at this agent
-    /// (pooled mode; 0 for tenants never admitted here).
-    pub fn cap_count(&self, tenant: u32) -> usize {
-        self.caps.get(&tenant).map_or(0, BTreeSet::len)
-    }
-
-    /// Journal sequence numbers currently held for one tenant's calls
-    /// (pooled mode): the per-tenant slice of the completion journal,
-    /// for proving exactly-once replay per namespace after a restart.
-    pub fn journal_entries_for(&self, tenant: u32) -> Vec<u64> {
-        self.cache.tenant_entries(tenant)
-    }
-
-    /// Tenants with at least one capability slot at this agent.
-    pub fn cap_tenants(&self) -> Vec<u32> {
-        self.caps.keys().copied().collect()
     }
 }
 
@@ -268,9 +241,9 @@ pub enum CallError {
     /// An argument object's payload died with a crashed process and
     /// could not be restored (§6 "Restoring States of Crashed Process").
     StateLost(ObjectId),
-    /// Pooled mode: the calling tenant's capability namespace does not
-    /// admit this object — a cross-tenant handle was denied at the
-    /// shared agent's gate (and audited).
+    /// Pooled mode: the calling tenant's namespace does not admit this
+    /// object — a cross-tenant handle was denied at the tenant gate
+    /// (and audited).
     TenantDenied {
         /// The tenant whose call was denied.
         tenant: u32,
@@ -335,7 +308,7 @@ pub struct RuntimeStats {
     /// copying (the zero-copy counterpart of the copy counters).
     pub shm_mapped_bytes: u64,
     /// Pooled mode: cross-tenant object accesses denied (and audited)
-    /// at the shared agents' capability gates.
+    /// at the tenant gate.
     pub tenant_denials: u64,
 }
 
@@ -406,12 +379,12 @@ pub struct Runtime {
     /// state-transition drain barriers. `None` = static policy only.
     controller: Option<controller::Controller>,
     /// Defining thread per object — lets re-protection and the
-    /// capability gate resolve an object's owner in O(log n) instead of
+    /// tenant gate resolve an object's owner in O(log n) instead of
     /// scanning every thread's state machine. First definer wins
     /// (objects never change hands across tenants).
     owner_of: BTreeMap<ObjectId, ThreadId>,
     /// Objects defined in *every* thread's machine (annotated host
-    /// data): exempt from the per-tenant capability gate and still
+    /// data): exempt from the tenant gate and still
     /// swept via the all-threads path.
     shared_objs: BTreeSet<ObjectId>,
     /// Every object whose payload has been promoted to a shared-memory
@@ -423,20 +396,9 @@ pub struct Runtime {
     /// per-tenant sweep (a tenant's transition revokes only grants on
     /// its own + shared segments: O(1) in the number of tenants).
     shm_owned: BTreeMap<ThreadId, BTreeSet<ObjectId>>,
-    /// Pooled mode (`Policy::pooled`): the deficit-round-robin run
-    /// queues over tenants, one per pool partition. `None` = per-thread
-    /// agent sets (the seed model).
-    pool_sched: Option<DrrScheduler>,
-    /// Pooled tickets by handle id (queued and completed).
-    tickets: BTreeMap<u64, Ticket>,
-    next_ticket: u64,
-    /// Round-robin cursor over pools for `pump_one`.
-    pool_cursor: usize,
-    /// Each tenant's own pipeline process (its host-side context).
-    tenant_pids: BTreeMap<u32, Pid>,
-    /// Per-tenant call latencies (enqueue → retire, global clock), for
-    /// the p50/p99 curves and the starvation-freedom bound.
-    tenant_lat: BTreeMap<u32, Vec<u64>>,
+    /// Pooled mode (`Policy::pooled`): run queues, tickets and tenant
+    /// processes. `None` = per-thread agent sets (the seed model).
+    pool: Option<pool::Pool>,
 }
 
 impl fmt::Debug for Runtime {
@@ -485,7 +447,7 @@ impl Runtime {
         // virtual clock (never charges time), so this changes no
         // deterministic result — the observability report asserts it.
         let controller = policy.adaptive.map(controller::Controller::new);
-        let pool_sched = policy.pooled.map(|cfg| DrrScheduler::new(cfg.quantum));
+        let pool = policy.pooled.map(pool::Pool::new);
         let mut tracer = Tracer::new();
         if controller.is_some() {
             tracer.enable();
@@ -526,12 +488,7 @@ impl Runtime {
             shared_objs: BTreeSet::new(),
             shm_index: BTreeSet::new(),
             shm_owned: BTreeMap::new(),
-            pool_sched,
-            tickets: BTreeMap::new(),
-            next_ticket: 0,
-            pool_cursor: 0,
-            tenant_pids: BTreeMap::new(),
-            tenant_lat: BTreeMap::new(),
+            pool,
         };
         rt.spawn_agent_set(ThreadId::MAIN);
         rt
@@ -568,7 +525,6 @@ impl Runtime {
                 sealed: false,
                 calls: 0,
                 cache: CompletionCache::new(64),
-                caps: BTreeMap::new(),
             },
         );
         for _ in 0..self.policy.warm_spares {

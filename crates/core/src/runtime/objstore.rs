@@ -53,7 +53,7 @@ impl Runtime {
 
     pub(super) fn define_on(&mut self, thread: ThreadId, id: ObjectId) {
         // First definer wins the ownership record: the owner index is
-        // what lets the pooled hot paths (capability gate, per-tenant
+        // what lets the pooled hot paths (tenant gate, per-tenant
         // grant sweeps, re-protection) skip every other tenant's state.
         self.owner_of.entry(id).or_insert(thread);
         self.states
@@ -111,32 +111,8 @@ impl Runtime {
         let tracing = self.tracer.enabled();
         let fetch_t0 = if tracing { self.kernel.now_ns() } else { 0 };
         if let Some((seg, len)) = meta.shm {
-            // Zero-copy host deref: grant the host a read-only view of
-            // the segment once, then read through the mapping.
-            let viewed = self
-                .kernel
-                .shm_segment(seg)
-                .is_some_and(|s| s.grant_of(self.host).is_some() && s.is_mapped(self.host));
-            if !viewed {
-                self.kernel
-                    .shm_grant(seg, self.host, Perms::R)
-                    .and_then(|()| self.kernel.shm_map(self.host, seg))
-                    .map_err(|_| CallError::StateLost(id))?;
-                if tracing {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmGrant {
-                        at_ns,
-                        object: id,
-                        segment: seg,
-                        pid: self.host,
-                        bytes: len,
-                    });
-                }
-            }
-            let bytes = self
-                .kernel
-                .shm_read(self.host, seg)
-                .map_err(|_| CallError::StateLost(id))?;
+            // Zero-copy host deref through the host's own segment view.
+            let bytes = self.read_segment_view(self.host, id, seg, len)?;
             if tracing {
                 let now = self.kernel.now_ns();
                 self.tracer.span(SpanEvent {
@@ -177,6 +153,42 @@ impl Runtime {
         }
         self.objects
             .read_bytes(&mut self.kernel, id)
+            .map_err(|_| CallError::StateLost(id))
+    }
+
+    /// Reads segment `seg` (object `id`'s payload, `len` bytes) through
+    /// `reader`'s own read-only view, granting and mapping the view on
+    /// first use (one audited `ShmGrant`). The grant table thereby
+    /// records every process that ever read the segment.
+    pub(super) fn read_segment_view(
+        &mut self,
+        reader: Pid,
+        id: ObjectId,
+        seg: ShmId,
+        len: u64,
+    ) -> Result<Vec<u8>, CallError> {
+        let viewed = self
+            .kernel
+            .shm_segment(seg)
+            .is_some_and(|s| s.grant_of(reader).is_some() && s.is_mapped(reader));
+        if !viewed {
+            self.kernel
+                .shm_grant(seg, reader, Perms::R)
+                .and_then(|()| self.kernel.shm_map(reader, seg))
+                .map_err(|_| CallError::StateLost(id))?;
+            if self.tracer.enabled() {
+                let at_ns = self.kernel.now_ns();
+                self.tracer.record_audit(AuditRecord::ShmGrant {
+                    at_ns,
+                    object: id,
+                    segment: seg,
+                    pid: reader,
+                    bytes: len,
+                });
+            }
+        }
+        self.kernel
+            .shm_read(reader, seg)
             .map_err(|_| CallError::StateLost(id))
     }
 
@@ -384,12 +396,6 @@ impl Runtime {
         }
     }
 
-    /// The temporal-grant sweep: at a framework-state transition, every
-    /// shared-memory view held by a process other than the segment's
-    /// current user is revoked — the segment analogue of the mprotect
-    /// storm. Runs inside the drain barrier (no call in flight), so a
-    /// stale agent's next access faults instead of racing the sweep.
-    /// One audit record per revoked `(segment, pid)` pair.
     /// Revokes every shared-memory view a dead process still holds —
     /// the shm half of reaping a crashed agent, run inside the same
     /// drain barrier as the respawn. One audit record per revoked view,
@@ -421,29 +427,32 @@ impl Runtime {
         }
     }
 
-    pub(super) fn revoke_out_of_state_grants(&mut self, seq: u64) {
-        debug_assert!(self.shm_index_consistent(), "shm index drifted");
-        let objs: Vec<ObjectId> = self.shm_index.iter().copied().collect();
-        self.revoke_stale_grants_on(&objs, seq);
-    }
-
-    /// Per-tenant grant sweep for pooled mode: only the transitioning
-    /// tenant's segments (plus shared annotated data, which its state
-    /// machine also locks) are swept — O(1) in the tenant count, where
-    /// the global sweep is O(total shm objects).
-    pub(super) fn revoke_out_of_state_grants_for(&mut self, thread: ThreadId, seq: u64) {
-        let mut objs: Vec<ObjectId> = self
-            .shm_owned
-            .get(&thread)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for &obj in &self.shared_objs {
-            if self.shm_index.contains(&obj) {
-                objs.push(obj);
-            }
-        }
-        objs.sort_unstable();
-        objs.dedup();
+    /// The temporal-grant sweep: at `thread`'s framework-state
+    /// transition, every shared-memory view held by a process other than
+    /// the segment's current user is revoked — the segment analogue of
+    /// the mprotect storm. Runs inside the drain barrier (no call in
+    /// flight), so a stale agent's next access faults instead of racing
+    /// the sweep. One audit record per revoked `(segment, pid)` pair.
+    ///
+    /// Per-thread agent sets sweep every segment. Pooled mode sweeps
+    /// only the transitioning tenant's segments plus shared annotated
+    /// data (which its state machine also locks) — O(1) in the tenant
+    /// count, where the global sweep is O(total shm objects).
+    pub(super) fn revoke_out_of_state_grants(&mut self, thread: ThreadId, seq: u64) {
+        let objs: Vec<ObjectId> = if self.pooled() {
+            let mut objs: Vec<ObjectId> = self
+                .shm_owned
+                .get(&thread)
+                .map(|s| s.iter().copied().collect())
+                .unwrap_or_default();
+            objs.extend(self.shared_objs.intersection(&self.shm_index));
+            objs.sort_unstable();
+            objs.dedup();
+            objs
+        } else {
+            debug_assert!(self.shm_index_consistent(), "shm index drifted");
+            self.shm_index.iter().copied().collect()
+        };
         self.revoke_stale_grants_on(&objs, seq);
     }
 

@@ -6,16 +6,16 @@
 //! keeps the paper's isolation *boundaries* (address spaces, temporal
 //! permissions, sealed filters) but shares the agent processes: 4 + N
 //! processes, where each tenant contributes only its own lightweight
-//! pipeline context. Three mechanisms make the sharing safe and fair:
+//! pipeline context. Pooled calls run on the ordinary call plane (same
+//! dispatch, journal and drain barrier as every other call); two
+//! mechanisms make the sharing safe and fair:
 //!
-//! * **Tenant namespaces** — every object records its defining tenant
-//!   (`Runtime::owner_of`); the dispatch gate refuses any call that
-//!   names another tenant's object before a single payload byte moves,
-//!   with a [`AuditRecord::CrossTenantDenied`] audit entry.
-//! * **Capability slots** — each shared agent keeps a per-tenant table
-//!   of admitted object handles (`Agent::caps`), minted on the owning
-//!   tenant's own calls and carried across restarts with the journal,
-//!   so a respawned agent re-admits every namespace.
+//! * **The tenant gate** — every object records its defining tenant
+//!   (`Runtime::owner_of`), and [`Runtime::tenant_may_access`] is the
+//!   one host-side check: dispatch refuses any call that names another
+//!   tenant's object before a single payload byte moves, and
+//!   [`Runtime::tenant_fetch`] refuses foreign reads, each with a
+//!   [`AuditRecord::CrossTenantDenied`] audit entry.
 //! * **Fair scheduling** — submissions enqueue into per-pool
 //!   deficit-round-robin run queues
 //!   ([`DrrScheduler`](freepart_simos::DrrScheduler)); `pump` drains
@@ -24,10 +24,12 @@
 
 use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
+use crate::policy::PoolConfig;
 use crate::trace::AuditRecord;
 use freepart_frameworks::api::ApiId;
-use freepart_frameworks::{ObjectId, ObjectKind, Value};
-use freepart_simos::Perms;
+use freepart_frameworks::{ObjectId, Value};
+use freepart_simos::{DrrScheduler, Pid};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of one tenant pipeline in pooled mode. Wraps the tenant's
@@ -81,11 +83,41 @@ pub(super) struct Ticket {
     tenant_served_at: u64,
     /// The outcome, once pumped.
     done: Option<Result<Value, CallError>>,
-    /// Enqueue → retirement, virtual ns.
-    latency_ns: Option<u64>,
     /// Items served to *other* tenants of the same pool between this
     /// ticket's enqueue and its dequeue.
     foreign_served: Option<u64>,
+}
+
+/// Everything pooled mode adds to the runtime (`Policy::pooled`); the
+/// runtime holds one of these, or `None` for per-thread agent sets.
+#[derive(Debug)]
+pub(super) struct Pool {
+    /// Deficit-round-robin run queues over tenants, one per pool
+    /// partition.
+    sched: DrrScheduler,
+    /// Tickets by handle id (queued and completed).
+    tickets: BTreeMap<u64, Ticket>,
+    next_ticket: u64,
+    /// Round-robin cursor over pools for `pump_one`.
+    cursor: usize,
+    /// Each tenant's own pipeline process (its host-side context).
+    pids: BTreeMap<u32, Pid>,
+    /// Per-tenant call latencies (enqueue → retire, global clock), for
+    /// the p50/p99 curves and the starvation-freedom bound.
+    latencies: BTreeMap<u32, Vec<u64>>,
+}
+
+impl Pool {
+    pub(super) fn new(cfg: PoolConfig) -> Pool {
+        Pool {
+            sched: DrrScheduler::new(cfg.quantum),
+            tickets: BTreeMap::new(),
+            next_ticket: 0,
+            cursor: 0,
+            pids: BTreeMap::new(),
+            latencies: BTreeMap::new(),
+        }
+    }
 }
 
 impl Runtime {
@@ -103,10 +135,10 @@ impl Runtime {
     /// When the runtime was not installed with [`crate::policy::Policy::pooled`]
     /// set (use [`crate::policy::Policy::freepart_pooled`]).
     pub fn spawn_tenant(&mut self) -> TenantId {
-        assert!(
-            self.pool_sched.is_some(),
-            "spawn_tenant requires Policy::pooled (see Policy::freepart_pooled)"
-        );
+        let pool = self
+            .pool
+            .as_mut()
+            .expect("spawn_tenant requires Policy::pooled (see Policy::freepart_pooled)");
         let thread = ThreadId(self.next_thread);
         self.next_thread += 1;
         self.states.insert(
@@ -114,28 +146,24 @@ impl Runtime {
             crate::state::StateMachine::new(self.policy.temporal_protection),
         );
         let pid = self.kernel.spawn(&format!("tenant:{}", thread.0));
-        self.tenant_pids.insert(thread.0, pid);
+        pool.pids.insert(thread.0, pid);
         TenantId(thread.0)
-    }
-
-    /// Live tenants admitted to the pools.
-    pub fn tenant_count(&self) -> usize {
-        self.tenant_pids.len()
     }
 
     /// One tenant's pipeline process. Grants in the kernel's segment
     /// tables name this pid, which is what lets a leak verdict ("no
     /// view of the victim's segment was ever granted to the attacker")
     /// be re-derived from a commit-log replay alone.
-    pub fn tenant_pid(&self, tenant: TenantId) -> Option<freepart_simos::Pid> {
-        self.tenant_pids.get(&tenant.0).copied()
+    pub fn tenant_pid(&self, tenant: TenantId) -> Option<Pid> {
+        self.pool.as_ref()?.pids.get(&tenant.0).copied()
     }
 
     /// Pooled process census: `(shared agents, tenant processes)`. The
     /// deployment's total is the sum plus the host — versus
     /// `5N` (agents × tenants + contexts) for per-tenant agent sets.
     pub fn pooled_process_count(&self) -> (usize, usize) {
-        (self.agents.len(), self.tenant_pids.len())
+        let tenants = self.pool.as_ref().map_or(0, |p| p.pids.len());
+        (self.agents.len(), tenants)
     }
 
     // ------------------------------------------------------------------
@@ -160,31 +188,27 @@ impl Runtime {
             .id_of(name)
             .ok_or_else(|| CallError::UnknownApi(name.to_owned()))?;
         let pool = self.partition_of(api);
-        let sched = self
-            .pool_sched
+        let enqueue_ns = self.kernel.now_ns();
+        let p = self
+            .pool
             .as_mut()
             .expect("tenant_submit requires pooled mode");
-        let ticket_id = self.next_ticket;
-        self.next_ticket += 1;
-        let own_ahead = sched.enqueue(pool.0, tenant.0, ticket_id, 1);
-        let pool_served_at = sched.served(pool.0);
-        let tenant_served_at = sched.served_cost(pool.0, tenant.0);
-        self.tickets.insert(
-            ticket_id,
-            Ticket {
-                tenant,
-                api,
-                args: args.to_vec(),
-                pool,
-                own_ahead,
-                enqueue_ns: self.kernel.now_ns(),
-                pool_served_at,
-                tenant_served_at,
-                done: None,
-                latency_ns: None,
-                foreign_served: None,
-            },
-        );
+        let ticket_id = p.next_ticket;
+        p.next_ticket += 1;
+        let own_ahead = p.sched.enqueue(pool.0, tenant.0, ticket_id, 1);
+        let ticket = Ticket {
+            tenant,
+            api,
+            args: args.to_vec(),
+            pool,
+            own_ahead,
+            enqueue_ns,
+            pool_served_at: p.sched.served(pool.0),
+            tenant_served_at: p.sched.served_cost(pool.0, tenant.0),
+            done: None,
+            foreign_served: None,
+        };
+        p.tickets.insert(ticket_id, ticket);
         Ok(TenantHandle(ticket_id))
     }
 
@@ -194,37 +218,30 @@ impl Runtime {
     /// queue is idle.
     pub fn pump_one(&mut self) -> Option<TenantHandle> {
         let pools: Vec<PartitionId> = self.routes.partitions.iter().copied().collect();
-        if pools.is_empty() {
-            return None;
-        }
         let n = pools.len();
-        for i in 0..n {
-            let pool = pools[(self.pool_cursor + i) % n];
-            let dequeued = self.pool_sched.as_mut()?.dequeue(pool.0);
-            let Some((_, ticket_id)) = dequeued else {
-                continue;
-            };
-            self.pool_cursor = (self.pool_cursor + i + 1) % n;
-            let t = self.tickets.get_mut(&ticket_id).expect("queued ticket");
-            let tenant = t.tenant;
-            let api = t.api;
-            let args = std::mem::take(&mut t.args);
-            // Fairness accounting happens at dequeue: the sum below
-            // includes this item for both counters, so they cancel.
-            let sched = self.pool_sched.as_ref().expect("pooled");
-            let foreign = (sched.served(pool.0) - t.pool_served_at)
-                .saturating_sub(sched.served_cost(pool.0, tenant.0) - t.tenant_served_at);
-            let outcome = self.call_id_on(tenant.thread(), api, &args);
-            let now = self.kernel.now_ns();
-            let t = self.tickets.get_mut(&ticket_id).expect("queued ticket");
-            let latency = now.saturating_sub(t.enqueue_ns);
-            t.done = Some(outcome);
-            t.latency_ns = Some(latency);
-            t.foreign_served = Some(foreign);
-            self.tenant_lat.entry(tenant.0).or_default().push(latency);
-            return Some(TenantHandle(ticket_id));
-        }
-        None
+        let p = self.pool.as_mut()?;
+        let (pool, ticket_id) = (0..n).find_map(|i| {
+            let pool = pools[(p.cursor + i) % n];
+            let (_, ticket_id) = p.sched.dequeue(pool.0)?;
+            p.cursor = (p.cursor + i + 1) % n;
+            Some((pool, ticket_id))
+        })?;
+        let t = p.tickets.get_mut(&ticket_id).expect("queued ticket");
+        let (tenant, api) = (t.tenant, t.api);
+        let args = std::mem::take(&mut t.args);
+        // Fairness accounting happens at dequeue: the sum below
+        // includes this item for both counters, so they cancel.
+        let foreign = (p.sched.served(pool.0) - t.pool_served_at)
+            .saturating_sub(p.sched.served_cost(pool.0, tenant.0) - t.tenant_served_at);
+        t.foreign_served = Some(foreign);
+        let outcome = self.call_id_on(tenant.thread(), api, &args);
+        let now = self.kernel.now_ns();
+        let p = self.pool.as_mut().expect("pooled");
+        let t = p.tickets.get_mut(&ticket_id).expect("queued ticket");
+        t.done = Some(outcome);
+        let latency = now.saturating_sub(t.enqueue_ns);
+        p.latencies.entry(tenant.0).or_default().push(latency);
+        Some(TenantHandle(ticket_id))
     }
 
     /// Drains every pool run queue ([`Runtime::pump_one`] to idle).
@@ -242,24 +259,17 @@ impl Runtime {
     /// for a handle this runtime never issued.
     pub fn tenant_wait(&mut self, handle: TenantHandle) -> Result<Value, CallError> {
         loop {
-            match self.tickets.get(&handle.0) {
-                None => {
-                    return Err(CallError::UnknownApi(format!(
-                        "unknown pooled ticket {}",
-                        handle.0
-                    )))
-                }
-                Some(t) if t.done.is_some() => {
-                    return self.tickets[&handle.0].done.clone().expect("checked above");
-                }
-                Some(_) => {
-                    if self.pump_one().is_none() {
-                        return Err(CallError::UnknownApi(format!(
-                            "pooled ticket {} stuck: scheduler idle",
-                            handle.0
-                        )));
-                    }
-                }
+            let t = self.ticket(handle).ok_or_else(|| {
+                CallError::UnknownApi(format!("unknown pooled ticket {}", handle.0))
+            })?;
+            if let Some(done) = &t.done {
+                return done.clone();
+            }
+            if self.pump_one().is_none() {
+                return Err(CallError::UnknownApi(format!(
+                    "pooled ticket {} stuck: scheduler idle",
+                    handle.0
+                )));
             }
         }
     }
@@ -285,28 +295,11 @@ impl Runtime {
     // Tenant data plane
     // ------------------------------------------------------------------
 
-    /// Allocates application data owned by one tenant: homed in the
-    /// tenant's own pipeline process and registered with *its* state
-    /// machine only — the capability gate denies every other tenant.
-    pub fn host_data_for(&mut self, tenant: TenantId, label: &str, bytes: &[u8]) -> ObjectId {
-        let home = self
-            .tenant_pids
-            .get(&tenant.0)
-            .copied()
-            .unwrap_or(self.host);
-        let id = self
-            .objects
-            .create_with_data(&mut self.kernel, home, ObjectKind::Blob, label, bytes)
-            .expect("tenant process is alive");
-        self.define_on(tenant.thread(), id);
-        id
-    }
-
     /// Reads an object's payload from one tenant's perspective, through
-    /// the capability gate: foreign objects are denied (and audited)
-    /// without touching a byte. Segment-backed payloads are read through
-    /// a view granted to the *tenant's own process* — so the grant
-    /// table itself records which tenant can see which segment, and the
+    /// the tenant gate: foreign objects are denied (and audited) without
+    /// touching a byte. Segment-backed payloads are read through a view
+    /// granted to the *tenant's own process* — so the grant table itself
+    /// records which tenant can see which segment, and the
     /// cross-tenant-leak verdict can be re-derived from the commit log.
     ///
     /// # Errors
@@ -328,43 +321,15 @@ impl Runtime {
                 .unwrap_or(PartitionId(0));
             return Err(self.deny_cross_tenant(thread, pool, id));
         }
-        let meta = self
-            .objects
-            .meta(id)
-            .ok_or(CallError::StateLost(id))?
-            .clone();
-        let tpid = self.tenant_pids.get(&tenant.0).copied();
-        if let (Some((seg, len)), Some(pid)) = (meta.shm, tpid) {
-            let viewed = self
-                .kernel
-                .shm_segment(seg)
-                .is_some_and(|s| s.grant_of(pid).is_some() && s.is_mapped(pid));
-            if !viewed {
-                self.kernel
-                    .shm_grant(seg, pid, Perms::R)
-                    .and_then(|()| self.kernel.shm_map(pid, seg))
-                    .map_err(|_| CallError::StateLost(id))?;
-                if self.tracer.enabled() {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmGrant {
-                        at_ns,
-                        object: id,
-                        segment: seg,
-                        pid,
-                        bytes: len,
-                    });
-                }
-            }
-            return self
-                .kernel
-                .shm_read(pid, seg)
-                .map_err(|_| CallError::StateLost(id));
+        let shm = self.objects.meta(id).ok_or(CallError::StateLost(id))?.shm;
+        match (shm, self.tenant_pid(tenant)) {
+            (Some((seg, len)), Some(pid)) => self.read_segment_view(pid, id, seg, len),
+            _ => self.fetch_bytes(id),
         }
-        self.fetch_bytes(id)
     }
 
     // ------------------------------------------------------------------
-    // The capability gate
+    // The tenant gate
     // ------------------------------------------------------------------
 
     /// Whether `thread`'s namespace admits `obj`: its own objects,
@@ -415,7 +380,10 @@ impl Runtime {
     /// Per-call latencies (enqueue → retirement, virtual ns) recorded
     /// for one tenant, in completion order.
     pub fn tenant_latencies(&self, tenant: TenantId) -> &[u64] {
-        self.tenant_lat.get(&tenant.0).map_or(&[], |v| v.as_slice())
+        self.pool
+            .as_ref()
+            .and_then(|p| p.latencies.get(&tenant.0))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Fairness measurement for a completed ticket:
@@ -425,13 +393,17 @@ impl Runtime {
     /// were queued ahead of it. The starvation-freedom proptest bounds
     /// `foreign_served` by the DRR window. `None` until pumped.
     pub fn ticket_fairness(&self, handle: TenantHandle) -> Option<(u64, usize)> {
-        let t = self.tickets.get(&handle.0)?;
+        let t = self.ticket(handle)?;
         Some((t.foreign_served?, t.own_ahead))
     }
 
     /// The pool partition a ticket was queued on (fairness bounds are
     /// per-pool: only same-pool service counts as foreign).
     pub fn ticket_pool(&self, handle: TenantHandle) -> Option<PartitionId> {
-        self.tickets.get(&handle.0).map(|t| t.pool)
+        self.ticket(handle).map(|t| t.pool)
+    }
+
+    fn ticket(&self, handle: TenantHandle) -> Option<&Ticket> {
+        self.pool.as_ref()?.tickets.get(&handle.0)
     }
 }

@@ -536,7 +536,7 @@ pub enum AuditRecord {
         /// Why the restore failed, stringified.
         reason: String,
     },
-    /// Pooled mode's capability gate refused a call that named another
+    /// Pooled mode's tenant gate refused a call that named another
     /// tenant's object — the cross-tenant isolation boundary of the
     /// shared-agent deployment, denied before any payload moved.
     CrossTenantDenied {
@@ -593,16 +593,8 @@ pub struct PolicyDecision {
     pub pipeline_window: usize,
     /// EWMA payload bytes per retired call (lazy + eager + shm).
     pub est_bytes_per_call: u64,
-    /// EWMA virtual-ns gap between consecutive retirements.
-    pub est_gap_ns: u64,
     /// EWMA calls per flushed batch, in 1/16ths (fixed-point ×16).
     pub est_calls_per_batch_x16: u64,
-    /// Host dereferences observed since the previous decision point
-    /// (global — host-fetch spans carry no partition attribution).
-    pub est_host_fetches: u64,
-    /// Flush-reason mix since the previous decision point:
-    /// `[partition_switch, hazard, transition, window_full]`.
-    pub flush_mix: [u64; 4],
     /// Whether any knob actually moved at this decision point.
     pub changed: bool,
 }
@@ -1013,7 +1005,7 @@ impl Tracer {
         }
         // Adaptive-controller decisions as instant events on the
         // governed partition's process row, carrying the knob outcome
-        // and every input estimate — the trace fully explains each
+        // and the estimates that decide it — the trace explains each
         // configuration move.
         for d in &self.decisions {
             let pid = pid_of.get(&d.partition).copied().unwrap_or(0);
@@ -1027,20 +1019,13 @@ impl Tracer {
                 format!(
                     "{{\"ph\":\"i\",\"name\":\"policy:{verb} shm={shm} batch={window} pipeline={}\",\
                      \"cat\":\"policy\",\"pid\":{pid},\"tid\":0,\"ts\":{:.3},\"s\":\"p\",\
-                     \"args\":{{\"seq\":{},\"bytes_per_call\":{},\"gap_ns\":{},\
-                     \"calls_per_batch_x16\":{},\"host_fetches\":{},\
-                     \"flush_mix\":[{},{},{},{}]}}}}",
+                     \"args\":{{\"seq\":{},\"bytes_per_call\":{},\
+                     \"calls_per_batch_x16\":{}}}}}",
                     d.pipeline_window,
                     d.at_ns as f64 / 1e3,
                     d.seq,
                     d.est_bytes_per_call,
-                    d.est_gap_ns,
                     d.est_calls_per_batch_x16,
-                    d.est_host_fetches,
-                    d.flush_mix[0],
-                    d.flush_mix[1],
-                    d.flush_mix[2],
-                    d.flush_mix[3],
                 ),
                 &mut out,
                 &mut first,

@@ -280,7 +280,6 @@ proptest! {
         let cfg = AdaptiveConfig {
             max_batch_window: window,
             shm_threshold: threshold,
-            ..AdaptiveConfig::default()
         };
         let policy = Policy {
             adaptive: Some(cfg),

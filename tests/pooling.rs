@@ -3,9 +3,12 @@
 //! and process count*, never outputs or the security story.
 
 use freepart_suite::apps::tenants::{run_chain_on, run_chain_pooled, stage_input, ChainOutput};
-use freepart_suite::core::{AuditRecord, CallError, Policy, RestartBudget, Runtime, TenantId};
+use freepart_suite::core::{
+    journal_exactly_once, AuditRecord, CallError, Policy, RestartBudget, Runtime, SpanPhase,
+    TenantId,
+};
 use freepart_suite::frameworks::registry::standard_registry;
-use freepart_suite::frameworks::Value;
+use freepart_suite::frameworks::{ObjectId, Value};
 use proptest::prelude::*;
 
 fn pooled_rt() -> Runtime {
@@ -62,7 +65,7 @@ fn pooled_chain_matches_per_thread_baseline_outputs() {
 }
 
 // ----------------------------------------------------------------------
-// The capability gate
+// The tenant gate
 // ----------------------------------------------------------------------
 
 #[test]
@@ -113,6 +116,30 @@ fn cross_tenant_object_access_is_denied_and_audited() {
     assert!(rt.call_tenant(victim, "cv2.GaussianBlur", &[img]).is_ok());
 }
 
+/// Runs `f` and returns every object created while it ran.
+fn objects_made_by(rt: &mut Runtime, f: impl FnOnce(&mut Runtime)) -> Vec<ObjectId> {
+    let mark = rt.objects.next_id_watermark();
+    f(rt);
+    rt.objects.ids_since(mark).collect()
+}
+
+/// Each tenant's objects pass the gate for that tenant and fail it for
+/// every other tenant.
+fn assert_namespaces_disjoint(rt: &Runtime, owned: &[(TenantId, Vec<ObjectId>)]) {
+    for (owner, objs) in owned {
+        assert!(!objs.is_empty(), "{owner} produced no objects");
+        for (t, _) in owned {
+            for obj in objs {
+                assert_eq!(
+                    rt.tenant_may_access(t.thread(), *obj),
+                    t == owner,
+                    "{t} vs {owner}'s object {obj}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn capability_slots_are_minted_per_tenant() {
     let mut rt = pooled_rt();
@@ -120,19 +147,16 @@ fn capability_slots_are_minted_per_tenant() {
     let b = rt.spawn_tenant();
     let pa = stage_input(&mut rt, 1);
     let pb = stage_input(&mut rt, 2);
-    run_chain_pooled(&mut rt, a, &pa).unwrap();
-    run_chain_pooled(&mut rt, b, &pb).unwrap();
-    let mut admitted = 0;
-    for p in rt.partitions() {
-        let agent = rt.agent(p).unwrap();
-        admitted += agent.cap_count(a.0) + agent.cap_count(b.0);
-        // No slot names an object the other tenant owns (the gate never
-        // admitted a foreign handle anywhere).
-        for t in agent.cap_tenants() {
-            assert!(t == a.0 || t == b.0);
-        }
-    }
-    assert!(admitted > 0, "chains mint capability slots");
+    let owned: Vec<(TenantId, Vec<ObjectId>)> = [(a, pa), (b, pb)]
+        .into_iter()
+        .map(|(t, path)| {
+            let made = objects_made_by(&mut rt, |rt| {
+                run_chain_pooled(rt, t, &path).unwrap();
+            });
+            (t, made)
+        })
+        .collect();
+    assert_namespaces_disjoint(&rt, &owned);
 }
 
 // ----------------------------------------------------------------------
@@ -149,80 +173,146 @@ fn shared_pool_crash_restarts_once_and_readmits_every_tenant() {
             ..Policy::freepart_pooled()
         },
     );
+    rt.enable_tracing();
     let tenants: Vec<TenantId> = (0..3).map(|_| rt.spawn_tenant()).collect();
     let paths: Vec<String> = (0..3).map(|n| stage_input(&mut rt, n)).collect();
-
-    // Every tenant loads its frame: all three namespaces now hold
-    // capability slots at the loading pool.
-    let imgs: Vec<Value> = tenants
-        .iter()
-        .zip(&paths)
-        .map(|(t, p)| {
-            rt.call_tenant(*t, "cv2.imread", &[Value::from(p.as_str())])
-                .unwrap()
+    let load = |rt: &mut Runtime, i: usize| {
+        objects_made_by(rt, |rt| {
+            let img = rt
+                .call_tenant(tenants[i], "cv2.imread", &[Value::from(paths[i].as_str())])
+                .unwrap();
+            assert!(matches!(img, Value::Obj(_)));
         })
-        .collect();
-    let load_pool = rt.partition_of(rt.registry().id_of("cv2.imread").expect("catalog API"));
-    let caps_before: Vec<usize> = tenants
-        .iter()
-        .map(|t| rt.agent(load_pool).unwrap().cap_count(t.0))
-        .collect();
-    assert!(caps_before.iter().all(|&c| c > 0));
-    let journal_before: Vec<Vec<u64>> = tenants
-        .iter()
-        .map(|t| rt.agent(load_pool).unwrap().journal_entries_for(t.0))
-        .collect();
+    };
+
+    // Every tenant loads its frame at the shared loading pool.
+    let mut owned: Vec<(TenantId, Vec<ObjectId>)> =
+        (0..3).map(|i| (tenants[i], load(&mut rt, i))).collect();
+    assert_namespaces_disjoint(&rt, &owned);
 
     // Kill the shared loading agent in the response window of the next
     // call: the supervisor must restart it exactly once, and the
     // journal must answer the retry without re-running side effects.
+    let load_pool = rt.partition_of(rt.registry().id_of("cv2.imread").expect("catalog API"));
     rt.inject_crash_before_response(load_pool);
-    let again = rt
-        .call_tenant(tenants[0], "cv2.imread", &[Value::from(paths[0].as_str())])
-        .unwrap();
-    assert!(matches!(again, Value::Obj(_)));
+    let again = load(&mut rt, 0);
+    owned[0].1.extend(again);
     assert_eq!(rt.stats().restarts, 1, "exactly one supervised restart");
+    let events = rt.tracer().events();
+    let replays: Vec<u64> = events
+        .iter()
+        .filter(|e| e.phase == SpanPhase::Replay)
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(replays.len(), 1, "the retried call replays once");
+    let journaled = events
+        .iter()
+        .filter(|e| e.phase == SpanPhase::Journal && e.seq == replays[0])
+        .count();
+    assert_eq!(journaled, 1, "the retried call executed once");
+    assert_eq!(journal_exactly_once(rt.tracer()), Vec::<String>::new());
 
-    // Every tenant's capability namespace survived the respawn…
-    for (i, t) in tenants.iter().enumerate() {
-        let after = rt.agent(load_pool).unwrap().cap_count(t.0);
-        assert!(
-            after >= caps_before[i],
-            "tenant {i} lost capability slots across restart"
-        );
-        // …including its journal slice (exactly-once replay evidence):
-        // every pre-crash entry still present is still tagged to the
-        // same tenant.
-        let after_j = rt.agent(load_pool).unwrap().journal_entries_for(t.0);
-        for seq in &journal_before[i] {
-            assert!(
-                after_j.contains(seq) || *seq <= rt.agent(load_pool).unwrap().journal_watermark(),
-                "tenant {i} journal entry {seq} vanished un-acked"
-            );
-        }
-    }
+    // The gate is host-side, so the restart leaves every namespace as
+    // it was…
+    assert_namespaces_disjoint(&rt, &owned);
 
-    // Every tenant can still run its full pipeline through the
+    // …and every tenant can still run its full pipeline through the
     // respawned pool (pre-crash payloads homed in the dead agent are
     // legitimately lost — §6: crashed-process state is not restored —
     // so each tenant reloads from its own staged file).
-    let fresh: Vec<Value> = tenants
-        .iter()
-        .zip(&paths)
-        .map(|(t, p)| {
-            let img = rt
-                .call_tenant(*t, "cv2.imread", &[Value::from(p.as_str())])
-                .unwrap();
-            rt.call_tenant(*t, "cv2.GaussianBlur", std::slice::from_ref(&img))
-                .unwrap();
-            img
-        })
-        .collect();
-    // And the gate still holds after the restart.
-    let denied = rt.call_tenant(tenants[1], "cv2.GaussianBlur", &[fresh[0].clone()]);
+    for (i, (t, objs)) in owned.iter_mut().enumerate() {
+        let made = objects_made_by(&mut rt, |rt| {
+            run_chain_pooled(rt, *t, &paths[i]).unwrap();
+        });
+        objs.extend(made);
+    }
+    assert_namespaces_disjoint(&rt, &owned);
+    let foreign = Value::Obj(*owned[0].1.last().expect("chain objects"));
+    let denied = rt.call_tenant(tenants[1], "cv2.GaussianBlur", &[foreign]);
     assert!(matches!(denied, Err(CallError::TenantDenied { .. })));
     assert_eq!(rt.stats().restarts, 1, "still exactly one restart");
-    let _ = imgs;
+}
+
+// ----------------------------------------------------------------------
+// Pools × the async call plane: one drain barrier for every tenant
+// ----------------------------------------------------------------------
+
+#[test]
+fn pooled_async_transitions_drain_every_tenant() {
+    let mut rt = pooled_rt();
+    rt.enable_tracing();
+    rt.enable_pipelining();
+    let (a, b) = (rt.spawn_tenant(), rt.spawn_tenant());
+    let (pa, pb) = (stage_input(&mut rt, 1), stage_input(&mut rt, 2));
+
+    // Every submit below changes its tenant's framework state, so each
+    // must retire whatever is in flight — the other tenant's call too.
+    let ha = rt
+        .call_async_on(a.thread(), "cv2.imread", &[Value::from(pa.as_str())])
+        .unwrap();
+    assert_eq!(rt.in_flight(), 1);
+    let hb = rt
+        .call_async_on(b.thread(), "cv2.imread", &[Value::from(pb.as_str())])
+        .unwrap();
+    assert_eq!(rt.in_flight(), 1, "b's transition drained a's load");
+    let img_a = rt.promise(ha).unwrap();
+    // (`cv2.cvtColor` is type-neutral and changes no state; the blur
+    // moves tenant a from loading to processing.)
+    let hc = rt
+        .call_async_on(a.thread(), "cv2.GaussianBlur", &[img_a])
+        .unwrap();
+    assert_eq!(rt.in_flight(), 1, "a's transition drained b's load");
+    let got: Vec<Value> = [ha, hb, hc]
+        .into_iter()
+        .map(|h| rt.wait(h).unwrap())
+        .collect();
+
+    // No agent was executing across any tenant's transition.
+    let transitions: Vec<u64> = rt
+        .tracer()
+        .audit_log()
+        .iter()
+        .filter_map(|r| match r {
+            AuditRecord::StateTransition { at_ns, .. } => Some(*at_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(transitions.len(), 3);
+    for e in rt.tracer().events() {
+        if e.phase == SpanPhase::Execute {
+            for &at in &transitions {
+                assert!(
+                    !(e.start_ns < at && at < e.end_ns),
+                    "seq {} executed across the transition at {at} ns",
+                    e.seq
+                );
+            }
+        }
+    }
+
+    // The same calls, synchronously through the pools.
+    let mut sync = pooled_rt();
+    let (sa, sb) = (sync.spawn_tenant(), sync.spawn_tenant());
+    let (qa, qb) = (stage_input(&mut sync, 1), stage_input(&mut sync, 2));
+    let img = sync
+        .call_tenant(sa, "cv2.imread", &[Value::from(qa.as_str())])
+        .unwrap();
+    let want = vec![
+        img.clone(),
+        sync.call_tenant(sb, "cv2.imread", &[Value::from(qb.as_str())])
+            .unwrap(),
+        sync.call_tenant(sa, "cv2.GaussianBlur", &[img]).unwrap(),
+    ];
+    assert_eq!(got, want);
+    for ((t, v), (st, sv)) in [a, b, a]
+        .iter()
+        .zip(&got)
+        .zip([sa, sb, sa].iter().zip(&want))
+    {
+        let mine = rt.tenant_fetch(*t, v.as_obj().unwrap()).unwrap();
+        let theirs = sync.tenant_fetch(*st, sv.as_obj().unwrap()).unwrap();
+        assert_eq!(mine, theirs, "payload bytes match the synchronous run");
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -251,8 +341,7 @@ proptest! {
         let mut step = vec![0usize; n_tenants];
         let mut val: Vec<Value> =
             paths.iter().map(|p| Value::from(p.as_str())).collect();
-        let mut blurred: Vec<Option<freepart_suite::frameworks::ObjectId>> =
-            vec![None; n_tenants];
+        let mut blurred: Vec<Option<ObjectId>> = vec![None; n_tenants];
         const CHAIN: [&str; 4] =
             ["cv2.imread", "cv2.cvtColor", "cv2.GaussianBlur", "cv2.findContours"];
         let mut cursor = 0usize;
