@@ -53,11 +53,11 @@ pub(crate) fn freepart_policies() -> [(&'static str, freepart::Policy); 5] {
     ]
 }
 
-/// Whether `policy` coalesces calls into batches (statically or through
-/// the adaptive controller's batched prior).
+/// Whether `policy` coalesces calls into batches (statically, or as
+/// the adaptive controller's seeded prior).
 #[cfg(test)]
 pub(crate) fn batches(policy: &freepart::Policy) -> bool {
-    policy.batch_window.is_some() || policy.adaptive.is_some()
+    policy.batch_window.is_some()
 }
 
 /// The batching presets' mission checks, one preset per test. Each test

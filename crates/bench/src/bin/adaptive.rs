@@ -53,7 +53,7 @@ const POLICIES: [(&str, PresetFn); 5] = [
 ];
 
 fn measure(mix: &Mix, name: &'static str, policy: Policy) -> (Run, MixResult) {
-    let adaptive = policy.adaptive.is_some();
+    let adaptive = policy.adaptive;
     let mut rt = fast_install(policy);
     rt.kernel.reset_accounting();
     let result = run_mix(&mut rt, mix);

@@ -234,7 +234,7 @@ fn main() {
 
     // ---- adaptive controller: decisions and their input estimates ----
     // The phase-shifting mix forces a mid-run re-decision, so the
-    // tables below show the controller actually moving knobs.
+    // table below shows the controller actually moving knobs.
     let mix = freepart_apps::mixes::standard_mixes()
         .into_iter()
         .find(|m| m.name == "phase-shift")
@@ -250,19 +250,6 @@ fn main() {
     let label_of =
         |p: &freepart::PartitionId| labels.get(p).cloned().unwrap_or_else(|| p.to_string());
 
-    let flows = rt.adaptive_flows();
-    assert!(!flows.is_empty(), "retired calls must leave flow estimates");
-    let mut table = Table::new(["Partition", "API", "EWMA B/call", "Samples"]);
-    for (p, api, ewma, samples) in &flows {
-        table.row([
-            label_of(p),
-            rt.registry().spec(*api).name.to_string(),
-            ewma.to_string(),
-            samples.to_string(),
-        ]);
-    }
-    table.print("Adaptive flow estimates by (partition, API) — phase-shift mix");
-
     let decisions = rt.tracer().policy_decisions();
     assert!(!decisions.is_empty(), "decision points must be reached");
     assert!(
@@ -274,18 +261,20 @@ fn main() {
         "Partition",
         "Decisions",
         "Changed",
+        "EWMA B/call",
         "Shm",
         "Batch",
         "Pipeline",
     ]);
     for p in parts {
         let of_p: Vec<_> = decisions.iter().filter(|d| d.partition == p).collect();
-        let knobs = rt.adaptive_knobs(p).expect("controller is on");
+        let knobs = rt.knobs(p);
         table.row([
             label_of(&p),
             of_p.len().to_string(),
             of_p.iter().filter(|d| d.changed).count().to_string(),
-            if knobs.shm_promoted { "on" } else { "off" }.to_owned(),
+            of_p.last().map_or(0, |d| d.est_bytes_per_call).to_string(),
+            knobs.shm_threshold.map_or("off", |_| "on").to_owned(),
             knobs
                 .batch_window
                 .map_or_else(|| "off".to_owned(), |w| w.to_string()),

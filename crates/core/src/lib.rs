@@ -44,13 +44,12 @@ pub use forensics::{
 };
 pub use partition::{PartitionId, PartitionPlan};
 pub use policy::{
-    AdaptiveConfig, ChannelTransport, HostDataPlacement, Policy, PoolConfig, RestartBudget,
-    RestartPolicy, SandboxLevel,
+    ChannelTransport, HostDataPlacement, Policy, PoolConfig, RestartBudget, RestartPolicy,
+    SandboxLevel,
 };
 pub use runtime::transport::{Transport, TransportCtx};
 pub use runtime::{
-    AdaptiveKnobs, Agent, CallError, CallHandle, Runtime, RuntimeStats, TenantHandle, TenantId,
-    ThreadId,
+    Agent, CallError, CallHandle, Knobs, Runtime, RuntimeStats, TenantHandle, TenantId, ThreadId,
 };
 pub use state::{FrameworkState, StateMachine};
 pub use trace::{

@@ -95,32 +95,6 @@ impl Default for RestartBudget {
     }
 }
 
-/// Tuning constants for the closed-loop adaptive policy controller.
-///
-/// All fields are integers so controller state stays exactly
-/// reproducible (no float drift between runs) and the config itself is
-/// `Eq`-comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Object-size threshold (bytes) the controller *may* enable per
-    /// partition: once a partition's payload evidence clears the
-    /// promotion band, objects at or above this size ride the zero-copy
-    /// shm transport there. Mirrors [`Policy::DEFAULT_SHM_THRESHOLD`].
-    pub shm_threshold: u64,
-    /// Upper bound on the per-partition batch window the controller can
-    /// pick. Mirrors [`Policy::DEFAULT_BATCH_WINDOW`].
-    pub max_batch_window: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            shm_threshold: Policy::DEFAULT_SHM_THRESHOLD,
-            max_batch_window: Policy::DEFAULT_BATCH_WINDOW,
-        }
-    }
-}
-
 /// Configuration for the pooled multi-tenant serving mode.
 ///
 /// In pooled mode the runtime's four `part0..part3` agents are shared
@@ -164,7 +138,8 @@ pub struct Policy {
     /// ride the zero-copy shared-memory transport (page-mapped segments
     /// with per-process temporal grants) instead of being byte-copied.
     /// `None` disables the Shm transport entirely, preserving the
-    /// pre-shm data plane bit-for-bit.
+    /// pre-shm data plane bit-for-bit. Under `adaptive` this is only
+    /// every partition's starting value, which the controller edits.
     pub shm_threshold: Option<u64>,
     /// Maximum number of consecutive same-partition calls coalesced
     /// into a single IPC frame before a forced flush. `None` disables
@@ -172,7 +147,8 @@ pub struct Policy {
     /// bit-for-bit. Batches also flush early on a partition switch, a
     /// host dereference/`wait` hazard, or a framework state transition,
     /// so results are byte-identical either way — only the frame count
-    /// (and its latency bill) changes.
+    /// (and its latency bill) changes. Under `adaptive` this is only
+    /// every partition's starting value, which the controller edits.
     pub batch_window: Option<usize>,
     /// Temporal memory permissions: previous-state objects become
     /// read-only on state transitions (§4.4.3).
@@ -206,12 +182,12 @@ pub struct Policy {
     /// artifacts, and a disabled recorder costs one branch per kernel
     /// entry point.
     pub record_commits: bool,
-    /// Closed-loop adaptive policy controller: per (partition, API)
-    /// EWMA estimators feed knob decisions (shm promotion, batch
-    /// window, pipeline window) taken only at state-transition drain
-    /// barriers, with hysteresis. `None` disables the controller
-    /// entirely, preserving the static-policy planes bit-for-bit.
-    pub adaptive: Option<AdaptiveConfig>,
+    /// Closed-loop adaptive policy controller: per-partition EWMA
+    /// estimators drive edits of the knob table that `shm_threshold`,
+    /// `batch_window` and the default pipeline window seed, taken only
+    /// at state-transition drain barriers, with hysteresis. `false`
+    /// leaves the seeded table untouched (the static-policy planes).
+    pub adaptive: bool,
     /// Multi-tenant pooled serving: N tenant pipelines share the four
     /// `part0..part3` agent pools (4 + N processes instead of 5N), with
     /// a host-side tenant gate on every object handle and
@@ -239,7 +215,7 @@ impl Default for Policy {
             restart_budget: None,
             colocate_type_neutral: true,
             record_commits: false,
-            adaptive: None,
+            adaptive: false,
             pooled: None,
         }
     }
@@ -327,14 +303,16 @@ impl Policy {
         }
     }
 
-    /// Full FreePart with the closed-loop adaptive controller: no
-    /// static transport/batching knobs are set — every (partition, API)
-    /// starts from the batched prior and the controller re-picks shm
-    /// promotion, batch window, and pipeline window from observed
-    /// evidence at state-transition drain barriers.
+    /// Full FreePart with the closed-loop adaptive controller. The
+    /// static fields are only the seeds: every partition starts from
+    /// the batched prior ([`Policy::DEFAULT_BATCH_WINDOW`], shm off),
+    /// and the controller re-picks shm promotion, batch window, and
+    /// pipeline window from observed evidence at state-transition drain
+    /// barriers.
     pub fn freepart_adaptive() -> Policy {
         Policy {
-            adaptive: Some(AdaptiveConfig::default()),
+            adaptive: true,
+            batch_window: Some(Policy::DEFAULT_BATCH_WINDOW),
             ..Policy::default()
         }
     }
@@ -356,12 +334,14 @@ impl Policy {
 impl Policy {
     /// Default map-vs-copy crossover: a quarter page. At the default
     /// cost model, copying 1 KiB (1.1 µs) already costs more than
-    /// granting + mapping the page that holds it (~0.5 µs).
+    /// granting + mapping the page that holds it (~0.5 µs). The
+    /// adaptive controller promotes partitions to this threshold.
     pub const DEFAULT_SHM_THRESHOLD: u64 = 1024;
 
     /// Default batch window. Matches the default pipeline window: a
     /// batch is one unit of the per-partition in-flight budget, and
     /// longer runs of un-retired calls would only grow the journal.
+    /// The adaptive controller's batching-on window.
     pub const DEFAULT_BATCH_WINDOW: usize = 8;
 }
 
@@ -446,19 +426,16 @@ mod tests {
     #[test]
     fn adaptive_is_opt_in() {
         // Seed-identical defaults: no controller, static planes only.
-        assert_eq!(Policy::default().adaptive, None);
+        assert!(!Policy::default().adaptive);
         let a = Policy::freepart_adaptive();
-        assert_eq!(a.adaptive, Some(AdaptiveConfig::default()));
-        // The static knobs stay unset — the controller owns them.
+        assert!(a.adaptive);
+        // The static knobs are the seeds: the batched prior, shm off
+        // until payload evidence clears the threshold.
         assert_eq!(a.shm_threshold, None);
-        assert_eq!(a.batch_window, None);
+        assert_eq!(a.batch_window, Some(Policy::DEFAULT_BATCH_WINDOW));
         // Everything else matches full FreePart.
         assert!(a.lazy_data_copy);
         assert!(a.temporal_protection);
-        // The controller's bounds mirror the proven static presets.
-        let cfg = AdaptiveConfig::default();
-        assert_eq!(cfg.shm_threshold, Policy::DEFAULT_SHM_THRESHOLD);
-        assert_eq!(cfg.max_batch_window, Policy::DEFAULT_BATCH_WINDOW);
     }
 
     #[test]
@@ -473,7 +450,7 @@ mod tests {
         assert!(p.temporal_protection);
         assert_eq!(p.shm_threshold, None);
         assert_eq!(p.batch_window, None);
-        assert_eq!(p.adaptive, None);
+        assert!(!p.adaptive);
     }
 
     #[test]
@@ -487,7 +464,7 @@ mod tests {
         assert!(f.lazy_data_copy);
         assert!(f.temporal_protection);
         assert_eq!(f.sandbox, SandboxLevel::PerAgent);
-        assert_eq!(f.adaptive, None);
+        assert!(!f.adaptive);
     }
 
     #[test]

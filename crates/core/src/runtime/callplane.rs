@@ -296,14 +296,11 @@ impl Runtime {
     }
 
     /// Bounds how many calls may be in flight per partition (min 1);
-    /// submission force-retires the oldest beyond the window.
+    /// submission force-retires the oldest beyond the window. Writes
+    /// the knob table's seed: every partition the adaptive controller
+    /// has not decided yet reads it.
     pub fn set_pipeline_window(&mut self, window: usize) {
-        self.pipeline_window = window.max(1);
-    }
-
-    /// The per-partition in-flight window.
-    pub fn pipeline_window(&self) -> usize {
-        self.pipeline_window
+        self.knob_table.seed.pipeline_window = window.max(1);
     }
 
     /// Completion time (agent timeline) a dependency handle resolves to.
@@ -461,7 +458,7 @@ impl Runtime {
                 .map(|b| b.members.len())
                 .unwrap_or(0);
             let units = q.len() - batch_members + usize::from(batch_members > 0);
-            if units < self.pipeline_window_for(partition) {
+            if units < self.knobs(partition).pipeline_window {
                 break;
             }
             let oldest = q[0];
@@ -552,7 +549,7 @@ impl Runtime {
             .or_default()
             .push_back(seq);
         // Window-full flush: the batch reached the partition's window.
-        if let (Some(window), Some(b)) = (self.batch_window_for(partition), self.batch.as_ref()) {
+        if let (Some(window), Some(b)) = (self.knobs(partition).batch_window, self.batch.as_ref()) {
             if b.members.len() >= window {
                 self.flush_batch(FlushReason::WindowFull);
             }

@@ -1,24 +1,30 @@
-//! The closed-loop adaptive policy controller (§ self-tuning): per
-//! (partition, API) estimators fed by the metrics registry, knob
-//! decisions taken only at state-transition drain barriers.
+//! The per-partition knob table and the closed-loop adaptive policy
+//! controller (§ self-tuning) that edits it.
 //!
-//! ## What it tunes
+//! ## One knob table
 //!
-//! Per partition, three knobs the static presets hand-pick:
+//! Three knobs sit on top of LDC: the shm promotion threshold, the
+//! batch window and the pipeline window. The [`Policy`] seeds every
+//! partition's entry at install and the call plane reads them only
+//! through [`Runtime::knobs`]. Under `Policy::adaptive` the controller
+//! rewrites a partition's entry at state-transition drain barriers;
+//! nothing else writes the table.
 //!
-//! * **shm promotion** — whether payloads at or above the configured
-//!   size threshold ride the zero-copy shm transport. Evidence-gated:
-//!   promotion turns on only once the partition's EWMA payload size
-//!   clears the threshold, and demotes only below half of it (a
-//!   hysteresis band), so estimates hovering at the boundary cannot
-//!   flap the transport.
-//! * **batch window** — starts at the proven batched prior
-//!   (`max_batch_window`); batching is disabled only for traffic whose
-//!   flushed batches are strictly singleton (where a batch frame's
-//!   wrapper bytes cost more than they amortize). The window is never
-//!   shrunk below the observed burst size — truncating bursts would
-//!   mint extra `WindowFull` frames and regress below the static
-//!   batched preset.
+//! ## What the controller picks
+//!
+//! One estimator per partition (payload bytes per retired call, from
+//! the metrics registry) and one global calls-per-batch estimate drive:
+//!
+//! * **shm promotion** — the threshold becomes
+//!   [`Policy::DEFAULT_SHM_THRESHOLD`] once the partition's EWMA payload
+//!   size clears it, and is cleared only below half of it (a hysteresis
+//!   band), so estimates hovering at the boundary cannot flap the
+//!   transport.
+//! * **batch window** — stays at its seed unless flushed batches are
+//!   strictly singleton (a batch frame's wrapper bytes then cost more
+//!   than they amortize); re-enabled at [`Policy::DEFAULT_BATCH_WINDOW`],
+//!   never below the observed burst size — truncating bursts would mint
+//!   extra `WindowFull` frames and regress below the batched preset.
 //! * **pipeline window** — sized to cover the batch window (a batch is
 //!   one in-flight unit), bounded by [`MAX_PIPELINE_WINDOW`].
 //!
@@ -41,9 +47,8 @@
 
 use super::{Runtime, DEFAULT_PIPELINE_WINDOW};
 use crate::partition::PartitionId;
-use crate::policy::AdaptiveConfig;
+use crate::policy::Policy;
 use crate::trace::{PolicyDecision, Tracer};
-use freepart_frameworks::api::ApiId;
 use std::collections::BTreeMap;
 
 /// Calls-per-batch EWMA (fixed-point ×16) below which flushed batches
@@ -66,28 +71,41 @@ const EWMA_SHIFT: u32 = 1;
 /// a boundary cannot make decisions flap.
 const HOLD_POINTS: u32 = 2;
 
-/// One partition's knob configuration, as decided by the controller.
+/// One partition's knobs, as the call plane reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveKnobs {
-    /// Whether the size-thresholded shm promotion rule is enabled.
-    pub shm_promoted: bool,
+pub struct Knobs {
+    /// Payloads at or above this size ride the shm transport (`None` =
+    /// the shm transport is off for the partition).
+    pub shm_threshold: Option<u64>,
     /// The batch window (`None` = one frame per call).
     pub batch_window: Option<usize>,
     /// The in-flight (pipeline) window.
     pub pipeline_window: usize,
 }
 
-impl AdaptiveKnobs {
-    /// The warmup configuration every partition starts from: the
-    /// batched prior (proven never worse than unbatched on every
-    /// preset workload), shm promotion off until payload evidence
-    /// clears the threshold, the default pipeline window.
-    fn initial(cfg: &AdaptiveConfig) -> AdaptiveKnobs {
-        AdaptiveKnobs {
-            shm_promoted: false,
-            batch_window: Some(cfg.max_batch_window.max(1)),
-            pipeline_window: DEFAULT_PIPELINE_WINDOW,
+/// The knob table: the policy's seed, which every partition starts
+/// from, plus the entries the controller has rewritten.
+#[derive(Debug)]
+pub(super) struct KnobTable {
+    pub(super) seed: Knobs,
+    decided: BTreeMap<PartitionId, Knobs>,
+}
+
+impl KnobTable {
+    /// The table `policy` seeds at install.
+    pub(super) fn seeded(policy: &Policy) -> KnobTable {
+        KnobTable {
+            seed: Knobs {
+                shm_threshold: policy.shm_threshold,
+                batch_window: policy.batch_window,
+                pipeline_window: DEFAULT_PIPELINE_WINDOW,
+            },
+            decided: BTreeMap::new(),
         }
+    }
+
+    fn get(&self, partition: PartitionId) -> Knobs {
+        self.decided.get(&partition).copied().unwrap_or(self.seed)
     }
 }
 
@@ -100,10 +118,10 @@ fn blend(prev: u64, sample: u64, seeded: bool) -> u64 {
     prev - (prev >> EWMA_SHIFT) + (sample >> EWMA_SHIFT)
 }
 
-/// Per-(partition, API) flow estimator: a cursor into the cumulative
-/// registry cell plus the payload-size EWMA.
+/// Per-partition estimator: a cursor into the partition's cumulative
+/// registry cells (summed over its APIs) plus the payload-size EWMA.
 #[derive(Debug, Clone, Copy, Default)]
-struct Flow {
+struct PartitionEstimate {
     /// Registry `calls` already consumed (cursor).
     seen_calls: u64,
     /// Registry payload bytes (lazy + eager + shm) already consumed.
@@ -114,21 +132,10 @@ struct Flow {
     samples: u64,
 }
 
-/// Per-partition aggregate estimator (what knob decisions read).
-#[derive(Debug, Clone, Copy, Default)]
-struct PartitionEstimate {
-    /// EWMA payload bytes per retired call, across the partition's APIs.
-    ewma_bytes_per_call: u64,
-    /// Decision windows that contributed a sample.
-    samples: u64,
-}
-
-/// The controller: estimators + per-partition knobs + hysteresis state.
-#[derive(Debug)]
+/// The controller: estimators + hysteresis state. The knobs themselves
+/// live in the runtime's [`KnobTable`].
+#[derive(Debug, Default)]
 pub(super) struct Controller {
-    pub(super) cfg: AdaptiveConfig,
-    knobs: BTreeMap<PartitionId, AdaptiveKnobs>,
-    flows: BTreeMap<(PartitionId, ApiId), Flow>,
     parts: BTreeMap<PartitionId, PartitionEstimate>,
     /// Hold-down counters: a partition whose knobs just moved keeps
     /// them pinned for [`HOLD_POINTS`] decision points.
@@ -143,58 +150,30 @@ pub(super) struct Controller {
 }
 
 impl Controller {
-    pub(super) fn new(cfg: AdaptiveConfig) -> Controller {
-        Controller {
-            cfg,
-            knobs: BTreeMap::new(),
-            flows: BTreeMap::new(),
-            parts: BTreeMap::new(),
-            hold: BTreeMap::new(),
-            flushes_cursor: 0,
-            ewma_calls_per_batch_x16: 0,
-            batch_samples: 0,
-        }
-    }
-
-    /// The knobs currently in force for `partition`.
-    pub(super) fn knobs_for(&self, partition: PartitionId) -> AdaptiveKnobs {
-        self.knobs
-            .get(&partition)
-            .copied()
-            .unwrap_or_else(|| AdaptiveKnobs::initial(&self.cfg))
-    }
-
-    /// Per-(partition, API) payload estimates:
-    /// `(partition, api, ewma bytes/call, samples)`.
-    pub(super) fn flow_estimates(&self) -> Vec<(PartitionId, ApiId, u64, u64)> {
-        self.flows
-            .iter()
-            .filter(|(_, f)| f.samples > 0)
-            .map(|((p, a), f)| (*p, *a, f.ewma_bytes_per_call, f.samples))
-            .collect()
-    }
-
     /// Estimator reset after an agent restart: the respawned agent's
-    /// traffic may look nothing like its predecessor's, so accumulated
-    /// EWMAs are dropped. Registry *cursors* are kept (the registry is
-    /// cumulative) and knobs are untouched — knob changes happen only
-    /// at drain barriers, never mid-restart.
+    /// traffic may look nothing like its predecessor's, so the
+    /// accumulated EWMA is dropped. The registry *cursor* is kept (the
+    /// registry is cumulative) and knobs are untouched — knob changes
+    /// happen only at drain barriers, never mid-restart.
     pub(super) fn reset_partition(&mut self, partition: PartitionId) {
-        for ((p, _), f) in self.flows.iter_mut() {
-            if *p == partition {
-                f.ewma_bytes_per_call = 0;
-                f.samples = 0;
-            }
+        if let Some(est) = self.parts.get_mut(&partition) {
+            est.ewma_bytes_per_call = 0;
+            est.samples = 0;
         }
-        self.parts.remove(&partition);
     }
 
     /// One decision point, at a state-transition drain barrier: fold
-    /// registry/flush deltas into the estimators, then re-pick
-    /// each active partition's knobs under hysteresis. Every partition
-    /// that saw traffic emits one [`PolicyDecision`] record (with
-    /// `changed = false` for holds and re-confirmations).
-    pub(super) fn decide(&mut self, tracer: &mut Tracer, now: u64, seq: u64) {
+    /// registry/flush deltas into the estimators, then re-pick each
+    /// active partition's entry in `table` under hysteresis. Every
+    /// partition that saw traffic emits one [`PolicyDecision`] record
+    /// (with `changed = false` for holds and re-confirmations).
+    pub(super) fn decide(
+        &mut self,
+        tracer: &mut Tracer,
+        table: &mut KnobTable,
+        now: u64,
+        seq: u64,
+    ) {
         // Calls-per-batch since the previous point.
         let flushes = &tracer.batch_flushes()[self.flushes_cursor..];
         let flush_frames = flushes.len() as u64;
@@ -209,54 +188,44 @@ impl Controller {
             self.batch_samples += 1;
         }
 
-        // Registry deltas per flow, aggregated per partition.
-        let mut part_calls: BTreeMap<PartitionId, u64> = BTreeMap::new();
-        let mut part_bytes: BTreeMap<PartitionId, u64> = BTreeMap::new();
-        for ((p, api), cell) in tracer.stats() {
-            let flow = self.flows.entry((*p, *api)).or_default();
-            let total_bytes = cell.bytes_lazy + cell.bytes_eager + cell.bytes_shm;
-            let d_calls = cell.calls - flow.seen_calls;
-            let d_bytes = total_bytes - flow.seen_bytes;
-            if let Some(per_call) = d_bytes.checked_div(d_calls) {
-                flow.ewma_bytes_per_call =
-                    blend(flow.ewma_bytes_per_call, per_call, flow.samples > 0);
-                flow.samples += 1;
-            }
-            flow.seen_calls = cell.calls;
-            flow.seen_bytes = total_bytes;
-            *part_calls.entry(*p).or_default() += d_calls;
-            *part_bytes.entry(*p).or_default() += d_bytes;
+        // Registry totals per partition, summed over its APIs' cells.
+        let mut totals: BTreeMap<PartitionId, (u64, u64)> = BTreeMap::new();
+        for ((p, _), cell) in tracer.stats() {
+            let t = totals.entry(*p).or_default();
+            t.0 += cell.calls;
+            t.1 += cell.bytes_lazy + cell.bytes_eager + cell.bytes_shm;
         }
 
-        for (partition, d_calls) in part_calls {
+        for (partition, (calls, bytes)) in totals {
+            let est = self.parts.entry(partition).or_default();
+            let d_calls = calls - est.seen_calls;
+            let d_bytes = bytes - est.seen_bytes;
+            est.seen_calls = calls;
+            est.seen_bytes = bytes;
             if d_calls == 0 {
                 continue;
             }
-            let d_bytes = part_bytes.get(&partition).copied().unwrap_or(0);
-            let est = self.parts.entry(partition).or_default();
             est.ewma_bytes_per_call =
                 blend(est.ewma_bytes_per_call, d_bytes / d_calls, est.samples > 0);
             est.samples += 1;
             let est = *est;
 
-            let old = self.knobs_for(partition);
+            let old = table.get(partition);
             let mut next = old;
             // Transport: promote at the threshold, demote only below
             // half of it — the hysteresis band.
-            if est.ewma_bytes_per_call >= self.cfg.shm_threshold {
-                next.shm_promoted = true;
-            } else if est.ewma_bytes_per_call < self.cfg.shm_threshold / 2 {
-                next.shm_promoted = false;
+            if est.ewma_bytes_per_call >= Policy::DEFAULT_SHM_THRESHOLD {
+                next.shm_threshold = Some(Policy::DEFAULT_SHM_THRESHOLD);
+            } else if est.ewma_bytes_per_call < Policy::DEFAULT_SHM_THRESHOLD / 2 {
+                next.shm_threshold = None;
             }
-            // Batching: stay at the proven prior unless flushed batches
-            // are strictly singleton (then the wrapper frame costs more
-            // than it amortizes and batching turns off).
+            // Batching: once the flush mix is trusted, batch at the
+            // default window unless flushed batches are strictly
+            // singleton (then the wrapper frame costs more than it
+            // amortizes and batching turns off).
             if self.batch_samples >= MIN_BATCH_SAMPLES {
-                next.batch_window = if self.ewma_calls_per_batch_x16 < SINGLETON_BATCH_X16 {
-                    None
-                } else {
-                    Some(self.cfg.max_batch_window.max(1))
-                };
+                next.batch_window = (self.ewma_calls_per_batch_x16 >= SINGLETON_BATCH_X16)
+                    .then_some(Policy::DEFAULT_BATCH_WINDOW);
             }
             // Pipelining: the window must cover the batch (a batch is
             // one in-flight unit; a smaller window would force-retire
@@ -270,7 +239,7 @@ impl Controller {
             let held = self.hold.get(&partition).copied().unwrap_or(0);
             let changed = next != old && held == 0;
             if changed {
-                self.knobs.insert(partition, next);
+                table.decided.insert(partition, next);
                 self.hold.insert(partition, HOLD_POINTS);
             } else if held > 0 {
                 self.hold.insert(partition, held - 1);
@@ -280,7 +249,7 @@ impl Controller {
                 at_ns: now,
                 seq,
                 partition,
-                shm_promoted: effective.shm_promoted,
+                shm_promoted: effective.shm_threshold.is_some(),
                 batch_window: effective.batch_window,
                 pipeline_window: effective.pipeline_window,
                 est_bytes_per_call: est.ewma_bytes_per_call,
@@ -292,35 +261,10 @@ impl Controller {
 }
 
 impl Runtime {
-    /// The batch window in force for `partition`: the controller's
-    /// per-partition knob when adaptive, else the static policy field.
-    pub(super) fn batch_window_for(&self, partition: PartitionId) -> Option<usize> {
-        match &self.controller {
-            Some(c) => c.knobs_for(partition).batch_window,
-            None => self.policy.batch_window,
-        }
-    }
-
-    /// The shm promotion threshold in force for `partition`: the
-    /// configured threshold when the controller has promoted the
-    /// partition (else `None`), or the static policy field.
-    pub(super) fn shm_threshold_for(&self, partition: PartitionId) -> Option<u64> {
-        match &self.controller {
-            Some(c) => c
-                .knobs_for(partition)
-                .shm_promoted
-                .then_some(c.cfg.shm_threshold),
-            None => self.policy.shm_threshold,
-        }
-    }
-
-    /// The in-flight window in force for `partition`: the controller's
-    /// per-partition knob when adaptive, else the runtime-wide setting.
-    pub(super) fn pipeline_window_for(&self, partition: PartitionId) -> usize {
-        match &self.controller {
-            Some(c) => c.knobs_for(partition).pipeline_window,
-            None => self.pipeline_window,
-        }
+    /// The knobs in force for `partition`: its knob-table entry, which
+    /// the policy seeded and only the adaptive controller rewrites.
+    pub fn knobs(&self, partition: PartitionId) -> Knobs {
+        self.knob_table.get(partition)
     }
 
     /// One adaptive decision point, called from the submit path inside
@@ -330,45 +274,49 @@ impl Runtime {
     pub(super) fn adaptive_decision_point(&mut self, seq: u64) {
         if let Some(c) = self.controller.as_mut() {
             let now = self.kernel.now_ns();
-            c.decide(&mut self.tracer, now, seq);
+            c.decide(&mut self.tracer, &mut self.knob_table, now, seq);
         }
     }
 
-    /// Whether the adaptive controller is driving this runtime's knobs.
+    /// Whether the adaptive controller is editing this runtime's knobs.
     pub fn adaptive_enabled(&self) -> bool {
         self.controller.is_some()
-    }
-
-    /// The knobs currently in force for `partition` under the adaptive
-    /// controller (`None` when the controller is off).
-    pub fn adaptive_knobs(&self, partition: PartitionId) -> Option<AdaptiveKnobs> {
-        self.controller.as_ref().map(|c| c.knobs_for(partition))
-    }
-
-    /// Per-(partition, API) adaptive payload estimates:
-    /// `(partition, api, EWMA bytes/call, samples)`. Empty when the
-    /// controller is off (or nothing has retired yet).
-    pub fn adaptive_flows(&self) -> Vec<(PartitionId, ApiId, u64, u64)> {
-        self.controller
-            .as_ref()
-            .map(Controller::flow_estimates)
-            .unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::FlushReason;
+    use crate::runtime::ThreadId;
+    use crate::trace::{CallOutcome, FlushReason};
+    use freepart_frameworks::api::ApiId;
 
-    fn cfg() -> AdaptiveConfig {
-        AdaptiveConfig::default()
+    const P: PartitionId = PartitionId(0);
+
+    /// A fresh controller, the table `Policy::freepart_adaptive` seeds,
+    /// and an enabled tracer.
+    fn setup() -> (Controller, KnobTable, Tracer) {
+        let mut tracer = Tracer::new();
+        tracer.enable();
+        let table = KnobTable::seeded(&Policy::freepart_adaptive());
+        (Controller::default(), table, tracer)
+    }
+
+    /// Retires call `seq` on partition `P` with `bytes` of lazy payload.
+    fn retire(tracer: &mut Tracer, seq: u64, bytes: u64) {
+        tracer.begin_call(seq);
+        tracer.add_lazy_bytes(seq, bytes);
+        tracer.finish_call(seq, P, ApiId(0), 100, CallOutcome::Completed);
+    }
+
+    fn promoted(t: &KnobTable) -> bool {
+        t.get(P).shm_threshold.is_some()
     }
 
     #[test]
     fn initial_knobs_are_the_batched_prior() {
-        let k = AdaptiveKnobs::initial(&cfg());
-        assert!(!k.shm_promoted, "shm promotion is evidence-gated");
+        let k = setup().1.get(P);
+        assert_eq!(k.shm_threshold, None, "shm promotion is evidence-gated");
         assert_eq!(k.batch_window, Some(8));
         assert_eq!(k.pipeline_window, 4);
     }
@@ -384,47 +332,32 @@ mod tests {
 
     #[test]
     fn promotion_hysteresis_band() {
-        let mut c = Controller::new(cfg());
-        let p = PartitionId(0);
-        let mut tracer = Tracer::new();
-        tracer.enable();
+        let (mut c, mut t, mut tracer) = setup();
         // Seed a flow well above the threshold via the registry.
-        tracer.begin_call(1);
-        tracer.add_lazy_bytes(1, 8192);
-        tracer.finish_call(1, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-        c.decide(&mut tracer, 1_000, 1);
-        assert!(c.knobs_for(p).shm_promoted, "8 KiB/call promotes");
+        retire(&mut tracer, 1, 8192);
+        c.decide(&mut tracer, &mut t, 1_000, 1);
+        assert!(promoted(&t), "8 KiB/call promotes");
         let decisions = tracer.policy_decisions();
         assert_eq!(decisions.len(), 1);
         assert!(decisions[0].changed);
         assert_eq!(decisions[0].est_bytes_per_call, 8192);
         // A window at 600 B/call sits inside the band [512, 1024):
         // no demotion (but the EWMA decays toward it).
-        tracer.begin_call(2);
-        tracer.add_lazy_bytes(2, 600);
-        tracer.finish_call(2, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
+        retire(&mut tracer, 2, 600);
         // Burn through the hold-down with idle decision points first.
         for s in 3..=(2 + u64::from(HOLD_POINTS)) {
-            c.decide(&mut tracer, 1_000 * s, s);
+            c.decide(&mut tracer, &mut t, 1_000 * s, s);
         }
-        c.decide(&mut tracer, 10_000, 9);
-        assert!(
-            c.knobs_for(p).shm_promoted,
-            "in-band estimates must not demote"
-        );
+        c.decide(&mut tracer, &mut t, 10_000, 9);
+        assert!(promoted(&t), "in-band estimates must not demote");
     }
 
     #[test]
     fn hold_down_pins_knobs_after_a_change() {
-        let mut c = Controller::new(cfg());
-        let p = PartitionId(0);
-        let mut tracer = Tracer::new();
-        tracer.enable();
-        tracer.begin_call(1);
-        tracer.add_lazy_bytes(1, 8192);
-        tracer.finish_call(1, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-        c.decide(&mut tracer, 1_000, 1);
-        assert!(c.knobs_for(p).shm_promoted);
+        let (mut c, mut t, mut tracer) = setup();
+        retire(&mut tracer, 1, 8192);
+        c.decide(&mut tracer, &mut t, 1_000, 1);
+        assert!(promoted(&t));
         // A sudden collapse to zero-byte calls wants demotion, but the
         // hold-down pins the knobs for `HOLD_POINTS` decision points —
         // and the EWMA itself takes log2(8192/512) = 4 windows to decay
@@ -433,13 +366,12 @@ mod tests {
         let hold = u64::from(HOLD_POINTS);
         let mut demoted_at = None;
         for s in 2..=12u64 {
-            tracer.begin_call(s);
-            tracer.finish_call(s, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-            c.decide(&mut tracer, 1_000 * s, s);
+            retire(&mut tracer, s, 0);
+            c.decide(&mut tracer, &mut t, 1_000 * s, s);
             if s <= 1 + hold {
-                assert!(c.knobs_for(p).shm_promoted, "held at point {s}");
+                assert!(promoted(&t), "held at point {s}");
             }
-            if demoted_at.is_none() && !c.knobs_for(p).shm_promoted {
+            if demoted_at.is_none() && !promoted(&t) {
                 demoted_at = Some(s);
             }
         }
@@ -449,62 +381,47 @@ mod tests {
 
     #[test]
     fn singleton_batches_disable_batching() {
-        let mut c = Controller::new(cfg());
-        let p = PartitionId(0);
-        let mut tracer = Tracer::new();
-        tracer.enable();
+        let (mut c, mut t, mut tracer) = setup();
         for s in 1..=4u64 {
-            tracer.begin_call(s);
-            tracer.add_lazy_bytes(s, 16);
-            tracer.finish_call(s, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-            tracer.note_batch_flush(
-                s * 100,
-                crate::runtime::ThreadId::MAIN,
-                FlushReason::PartitionSwitch,
-                1,
-            );
-            c.decide(&mut tracer, 1_000 * s, s);
+            retire(&mut tracer, s, 16);
+            tracer.note_batch_flush(s * 100, ThreadId::MAIN, FlushReason::PartitionSwitch, 1);
+            c.decide(&mut tracer, &mut t, 1_000 * s, s);
         }
         assert_eq!(
-            c.knobs_for(p).batch_window,
+            t.get(P).batch_window,
             None,
             "strictly singleton batches turn batching off"
         );
         // Bursty flushes re-enable it (after the hold expires).
         for s in 5..=12u64 {
-            tracer.begin_call(s);
-            tracer.add_lazy_bytes(s, 16);
-            tracer.finish_call(s, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-            tracer.note_batch_flush(
-                s * 100,
-                crate::runtime::ThreadId::MAIN,
-                FlushReason::WindowFull,
-                8,
-            );
-            c.decide(&mut tracer, 1_000 * s, s);
+            retire(&mut tracer, s, 16);
+            tracer.note_batch_flush(s * 100, ThreadId::MAIN, FlushReason::WindowFull, 8);
+            c.decide(&mut tracer, &mut t, 1_000 * s, s);
         }
-        assert_eq!(c.knobs_for(p).batch_window, Some(8));
-        assert_eq!(c.knobs_for(p).pipeline_window, 8, "window covers the batch");
+        assert_eq!(t.get(P).batch_window, Some(8));
+        assert_eq!(t.get(P).pipeline_window, 8, "window covers the batch");
     }
 
     #[test]
     fn restart_reset_clears_estimates_but_not_knobs_or_cursors() {
-        let mut c = Controller::new(cfg());
-        let p = PartitionId(0);
-        let mut tracer = Tracer::new();
-        tracer.enable();
-        tracer.begin_call(1);
-        tracer.add_lazy_bytes(1, 8192);
-        tracer.finish_call(1, p, ApiId(0), 100, crate::trace::CallOutcome::Completed);
-        c.decide(&mut tracer, 1_000, 1);
-        assert!(c.knobs_for(p).shm_promoted);
-        assert_eq!(c.flow_estimates().len(), 1);
-        c.reset_partition(p);
-        assert!(c.flow_estimates().is_empty(), "estimates dropped");
-        assert!(c.knobs_for(p).shm_promoted, "knobs survive the restart");
+        let (mut c, mut t, mut tracer) = setup();
+        retire(&mut tracer, 1, 8192);
+        c.decide(&mut tracer, &mut t, 1_000, 1);
+        assert!(promoted(&t));
+        assert_eq!(
+            (c.parts[&P].ewma_bytes_per_call, c.parts[&P].samples),
+            (8192, 1)
+        );
+        c.reset_partition(P);
+        assert_eq!(
+            (c.parts[&P].ewma_bytes_per_call, c.parts[&P].samples),
+            (0, 0)
+        );
+        assert!(promoted(&t), "knobs survive the restart");
         // The registry cursor survived: an idle decision point sees no
         // delta and does not re-count historical bytes.
-        c.decide(&mut tracer, 2_000, 2);
-        assert!(c.flow_estimates().is_empty());
+        c.decide(&mut tracer, &mut t, 2_000, 2);
+        assert_eq!(c.parts[&P].samples, 0);
+        assert_eq!(tracer.policy_decisions().len(), 1, "no new decision");
     }
 }

@@ -55,7 +55,7 @@ impl Runtime {
         // Batched mode buffers the encoded frame for the next batch
         // flush (one IPC frame for N calls) instead of sending it now;
         // execution stays eager either way.
-        let batched = self.batch_window_for(partition).is_some();
+        let batched = self.knobs(partition).batch_window.is_some();
         let tracing = self.tracer.enabled();
         let marshal_t0 = if tracing { self.kernel.now_ns() } else { 0 };
         let req = Request {
@@ -218,33 +218,11 @@ impl Runtime {
             let mut back: Vec<ObjectId> = needed.clone();
             back.extend(result.as_obj());
             for obj in back {
-                if let Some(meta) = self.objects.meta(obj) {
-                    // Shm-resident payloads never copy back: the host's
-                    // view of the segment is the object.
-                    if meta.home == agent_pid && meta.shm.is_none() {
-                        let len = meta.len();
-                        let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-                        self.objects
-                            .migrate_direct(&mut self.kernel, obj, self.host)
-                            .map_err(|_| CallError::StateLost(obj))?;
-                        self.stats.host_copies += 1;
-                        self.charge_transport(len);
-                        if tracing {
-                            let now = self.kernel.now_ns();
-                            self.tracer.add_eager_bytes(seq, len);
-                            self.tracer.span(SpanEvent {
-                                phase: SpanPhase::DataCopy,
-                                seq,
-                                api: Some(api),
-                                partition: Some(partition),
-                                thread,
-                                start_ns: copy_t0,
-                                end_ns: now,
-                                bytes: len,
-                            });
-                        }
-                        self.reapply_all(obj);
-                    }
+                // Shm-resident payloads never copy back: the host's view
+                // of the segment is the object.
+                let meta = self.objects.meta(obj);
+                if meta.is_some_and(|m| m.home == agent_pid && m.shm.is_none()) {
+                    self.copy_home(obj, self.host, seq, thread, Some(api), Some(partition))?;
                 }
             }
         }

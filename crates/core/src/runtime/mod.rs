@@ -44,7 +44,7 @@ mod objstore;
 mod pool;
 pub mod transport;
 
-pub use controller::AdaptiveKnobs;
+pub use controller::Knobs;
 pub use pool::{TenantHandle, TenantId};
 
 use crate::partition::PartitionId;
@@ -82,8 +82,8 @@ impl fmt::Display for ThreadId {
 /// partition `p` is `PartitionId(t * THREAD_STRIDE + p)`.
 const THREAD_STRIDE: u32 = 1_000;
 
-/// The default per-partition in-flight window (also the adaptive
-/// controller's floor for sizing its pipeline knob).
+/// The default per-partition in-flight window: the knob table's seed
+/// (also the adaptive controller's floor for sizing its pipeline knob).
 pub(super) const DEFAULT_PIPELINE_WINDOW: usize = 4;
 
 pub(super) fn thread_partition(thread: ThreadId, p: PartitionId) -> PartitionId {
@@ -356,9 +356,9 @@ pub struct Runtime {
     last_touch: BTreeMap<ObjectId, u64>,
     /// True once per-process virtual timelines drive the kernel clock.
     pipelining: bool,
-    /// Max in-flight calls per partition before submission force-retires
-    /// the oldest.
-    pipeline_window: usize,
+    /// Per-partition knobs (shm threshold, batch window, pipeline
+    /// window): seeded from the policy, edited only by the controller.
+    knob_table: controller::KnobTable,
     /// The open call batch, if `Policy::batch_window` is set: consecutive
     /// same-partition calls whose request/response frames are coalesced
     /// into one IPC frame each at flush time.
@@ -375,8 +375,8 @@ pub struct Runtime {
     /// this partition to fail (exercises the quarantine path).
     fail_next_restore: Option<PartitionId>,
     /// The closed-loop adaptive policy controller
-    /// (`Policy::adaptive`): per-partition knob decisions at
-    /// state-transition drain barriers. `None` = static policy only.
+    /// (`Policy::adaptive`): edits `knob_table` at state-transition
+    /// drain barriers. `None` = the seeded table stays as it is.
     controller: Option<controller::Controller>,
     /// Defining thread per object — lets re-protection and the
     /// tenant gate resolve an object's owner in O(log n) instead of
@@ -446,7 +446,8 @@ impl Runtime {
         // registry, so it force-enables tracing. Tracing only reads the
         // virtual clock (never charges time), so this changes no
         // deterministic result — the observability report asserts it.
-        let controller = policy.adaptive.map(controller::Controller::new);
+        let controller = policy.adaptive.then(controller::Controller::default);
+        let knob_table = controller::KnobTable::seeded(&policy);
         let pool = policy.pooled.map(pool::Pool::new);
         let mut tracer = Tracer::new();
         if controller.is_some() {
@@ -477,7 +478,7 @@ impl Runtime {
             retired: BTreeMap::new(),
             last_touch: BTreeMap::new(),
             pipelining: false,
-            pipeline_window: DEFAULT_PIPELINE_WINDOW,
+            knob_table,
             batch: None,
             batch_spans: BTreeMap::new(),
             spares: BTreeMap::new(),
@@ -626,11 +627,23 @@ impl Runtime {
     /// the paper's multi-threading model (§6). Returns the thread id to
     /// pass to [`Runtime::call_on`].
     pub fn spawn_thread(&mut self) -> ThreadId {
+        let thread = self.new_thread();
+        self.spawn_agent_set(thread);
+        thread
+    }
+
+    /// Hands out the next thread id with a fresh framework-state
+    /// machine that already tracks every annotated host-data object, so
+    /// shared data gets locked whichever thread or tenant later drives
+    /// the pipeline past Initialization.
+    pub(super) fn new_thread(&mut self) -> ThreadId {
         let thread = ThreadId(self.next_thread);
         self.next_thread += 1;
-        self.states
-            .insert(thread, StateMachine::new(self.policy.temporal_protection));
-        self.spawn_agent_set(thread);
+        let mut sm = StateMachine::new(self.policy.temporal_protection);
+        for id in &self.shared_objs {
+            sm.define(*id);
+        }
+        self.states.insert(thread, sm);
         thread
     }
 

@@ -3,12 +3,15 @@
 //! after moves, and the temporal-grant sweep that tears shared-memory
 //! views down at framework-state transitions.
 
-use super::transport::{Transport, TransportCtx, EAGER, LAZY, SHM};
+use super::transport::{
+    charge_channel_penalty, map_view, Transport, TransportCtx, EAGER, LAZY, SHM,
+};
 use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::HostDataPlacement;
 use crate::state::StateMachine;
 use crate::trace::{AuditRecord, SpanEvent, SpanPhase};
+use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, ObjectKind, ObjectMeta};
 use freepart_simos::{Perms, Pid, ShmId};
 
@@ -110,56 +113,44 @@ impl Runtime {
         }
         let tracing = self.tracer.enabled();
         let fetch_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-        if let Some((seg, len)) = meta.shm {
+        let (bytes, len) = if let Some((seg, len)) = meta.shm {
             // Zero-copy host deref through the host's own segment view.
-            let bytes = self.read_segment_view(self.host, id, seg, len)?;
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::HostFetch,
-                    seq: self.seq,
-                    api: None,
-                    partition: None,
-                    thread: ThreadId::MAIN,
-                    start_ns: fetch_t0,
-                    end_ns: now,
-                    bytes: len,
-                });
-            }
-            return Ok(bytes);
-        }
-        if let Some((addr, len)) = meta.buffer {
+            (self.read_segment_view(self.host, id, seg, len)?, len)
+        } else if let Some((addr, len)) = meta.buffer {
             let bytes = self
                 .kernel
                 .mem_read(meta.home, addr, len)
                 .map_err(|_| CallError::StateLost(id))?;
             self.kernel.charge_copy(len);
             self.stats.host_copies += 1;
-            self.charge_transport(len);
-            if tracing {
-                let now = self.kernel.now_ns();
-                self.tracer.span(SpanEvent {
-                    phase: SpanPhase::HostFetch,
-                    seq: self.seq,
-                    api: None,
-                    partition: None,
-                    thread: ThreadId::MAIN,
-                    start_ns: fetch_t0,
-                    end_ns: now,
-                    bytes: len,
-                });
-            }
-            return Ok(bytes);
+            let penalty = self.policy.transport.penalty_factor();
+            charge_channel_penalty(&mut self.kernel, penalty, len);
+            (bytes, len)
+        } else {
+            return self
+                .objects
+                .read_bytes(&mut self.kernel, id)
+                .map_err(|_| CallError::StateLost(id));
+        };
+        if tracing {
+            let now = self.kernel.now_ns();
+            self.tracer.span(SpanEvent {
+                phase: SpanPhase::HostFetch,
+                seq: self.seq,
+                api: None,
+                partition: None,
+                thread: ThreadId::MAIN,
+                start_ns: fetch_t0,
+                end_ns: now,
+                bytes: len,
+            });
         }
-        self.objects
-            .read_bytes(&mut self.kernel, id)
-            .map_err(|_| CallError::StateLost(id))
+        Ok(bytes)
     }
 
     /// Reads segment `seg` (object `id`'s payload, `len` bytes) through
     /// `reader`'s own read-only view, granting and mapping the view on
-    /// first use (one audited `ShmGrant`). The grant table thereby
-    /// records every process that ever read the segment.
+    /// first use (one audited `ShmGrant`).
     pub(super) fn read_segment_view(
         &mut self,
         reader: Pid,
@@ -167,27 +158,9 @@ impl Runtime {
         seg: ShmId,
         len: u64,
     ) -> Result<Vec<u8>, CallError> {
-        let viewed = self
-            .kernel
-            .shm_segment(seg)
-            .is_some_and(|s| s.grant_of(reader).is_some() && s.is_mapped(reader));
-        if !viewed {
-            self.kernel
-                .shm_grant(seg, reader, Perms::R)
-                .and_then(|()| self.kernel.shm_map(reader, seg))
-                .map_err(|_| CallError::StateLost(id))?;
-            if self.tracer.enabled() {
-                let at_ns = self.kernel.now_ns();
-                self.tracer.record_audit(AuditRecord::ShmGrant {
-                    at_ns,
-                    object: id,
-                    segment: seg,
-                    pid: reader,
-                    bytes: len,
-                });
-            }
-        }
-        self.kernel
+        let Runtime { kernel, tracer, .. } = self;
+        map_view(kernel, tracer, id, seg, len, reader, Perms::R)?;
+        kernel
             .shm_read(reader, seg)
             .map_err(|_| CallError::StateLost(id))
     }
@@ -203,31 +176,49 @@ impl Runtime {
         if let Some(&pin) = self.pinned.get(&id) {
             let home = self.objects.meta(id).map(|m| m.home);
             if home != Some(pin) && self.kernel.is_running(pin) {
-                let len = self.objects.meta(id).map_or(0, |m| m.len());
-                let tracing = self.tracer.enabled();
-                let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-                self.objects
-                    .migrate_direct(&mut self.kernel, id, pin)
-                    .map_err(|_| CallError::StateLost(id))?;
-                self.stats.host_copies += 1;
-                self.charge_transport(len);
-                if tracing {
-                    let now = self.kernel.now_ns();
-                    self.tracer.add_eager_bytes(seq, len);
-                    self.tracer.span(SpanEvent {
-                        phase: SpanPhase::DataCopy,
-                        seq,
-                        api: None,
-                        partition: None,
-                        thread,
-                        start_ns: copy_t0,
-                        end_ns: now,
-                        bytes: len,
-                    });
-                }
-                self.reapply_all(id);
+                self.copy_home(id, pin, seq, thread, None, None)?;
             }
         }
+        Ok(())
+    }
+
+    /// Copies `obj`'s payload to `home` (the host after a no-LDC call, or
+    /// a pinned object's data process): one counted host copy with the
+    /// channel penalty, attributed to call `seq` as eager bytes and one
+    /// `DataCopy` span, then re-protection of the new copy.
+    pub(super) fn copy_home(
+        &mut self,
+        obj: ObjectId,
+        home: Pid,
+        seq: u64,
+        thread: ThreadId,
+        api: Option<ApiId>,
+        partition: Option<PartitionId>,
+    ) -> Result<(), CallError> {
+        let len = self.objects.meta(obj).map_or(0, |m| m.len());
+        let tracing = self.tracer.enabled();
+        let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
+        self.objects
+            .migrate_direct(&mut self.kernel, obj, home)
+            .map_err(|_| CallError::StateLost(obj))?;
+        self.stats.host_copies += 1;
+        let penalty = self.policy.transport.penalty_factor();
+        charge_channel_penalty(&mut self.kernel, penalty, len);
+        if tracing {
+            let now = self.kernel.now_ns();
+            self.tracer.add_eager_bytes(seq, len);
+            self.tracer.span(SpanEvent {
+                phase: SpanPhase::DataCopy,
+                seq,
+                api,
+                partition,
+                thread,
+                start_ns: copy_t0,
+                end_ns: now,
+                bytes: len,
+            });
+        }
+        self.reapply_all(obj);
         Ok(())
     }
 
@@ -237,16 +228,16 @@ impl Runtime {
 
     /// Picks the payload transport for one object bound for
     /// `partition`: segments stay on the Shm transport once promoted;
-    /// payloads at or above the threshold in force for the partition
-    /// (static policy, or the adaptive controller's per-partition knob)
-    /// are promoted; everything else follows the LDC flag.
+    /// payloads at or above the partition's shm threshold knob are
+    /// promoted; everything else follows the LDC flag.
     fn transport_for(&self, partition: PartitionId, meta: &ObjectMeta) -> &'static dyn Transport {
         if meta.shm.is_some() {
             return &SHM;
         }
         if meta.buffer.is_some()
             && self
-                .shm_threshold_for(partition)
+                .knobs(partition)
+                .shm_threshold
                 .is_some_and(|t| meta.len() >= t)
         {
             return &SHM;
@@ -329,16 +320,6 @@ impl Runtime {
         }
         self.reapply_all(obj);
         Ok(())
-    }
-
-    /// Charges the transport penalty for moving `bytes` over a pipe
-    /// instead of shared memory.
-    pub(super) fn charge_transport(&mut self, bytes: u64) {
-        let factor = self.policy.transport.penalty_factor();
-        if factor > 1 {
-            let base = self.kernel.cost_model().copy_cost(bytes);
-            self.kernel.charge_time(base * (factor - 1));
-        }
     }
 
     /// Re-applies temporal protection from whichever thread's machine

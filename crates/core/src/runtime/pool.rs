@@ -135,17 +135,13 @@ impl Runtime {
     /// When the runtime was not installed with [`crate::policy::Policy::pooled`]
     /// set (use [`crate::policy::Policy::freepart_pooled`]).
     pub fn spawn_tenant(&mut self) -> TenantId {
-        let pool = self
-            .pool
-            .as_mut()
-            .expect("spawn_tenant requires Policy::pooled (see Policy::freepart_pooled)");
-        let thread = ThreadId(self.next_thread);
-        self.next_thread += 1;
-        self.states.insert(
-            thread,
-            crate::state::StateMachine::new(self.policy.temporal_protection),
+        assert!(
+            self.pooled(),
+            "spawn_tenant requires Policy::pooled (see Policy::freepart_pooled)"
         );
+        let thread = self.new_thread();
         let pid = self.kernel.spawn(&format!("tenant:{}", thread.0));
+        let pool = self.pool.as_mut().expect("checked");
         pool.pids.insert(thread.0, pid);
         TenantId(thread.0)
     }

@@ -16,14 +16,15 @@
 //!   out-of-state views at every framework-state transition.
 //!
 //! Transports are stateless; the per-call mutable context travels in
-//! [`TransportCtx`]. Which transport serves which object is policy
-//! (`Policy::shm_threshold` + `Policy::lazy_data_copy`), chosen
-//! per-object in `objstore.rs`.
+//! [`TransportCtx`]. Which transport serves which object is chosen
+//! per-object in `objstore.rs`, from the partition's shm threshold
+//! (read through `Runtime::knobs`, seeded from `Policy::shm_threshold`)
+//! and `Policy::lazy_data_copy`.
 
 use super::{CallError, RuntimeStats};
 use crate::trace::{AuditRecord, SpanPhase, Tracer};
 use freepart_frameworks::{ObjectId, ObjectStore};
-use freepart_simos::{Kernel, Perms, Pid};
+use freepart_simos::{Kernel, Perms, Pid, ShmId};
 
 /// The mutable runtime state a transport needs for one delivery.
 pub struct TransportCtx<'a> {
@@ -46,15 +47,49 @@ pub struct TransportCtx<'a> {
     pub penalty: u64,
 }
 
-impl TransportCtx<'_> {
-    /// Charges the pipe-vs-shared-memory channel penalty for `bytes`
-    /// that were actually copied. Map-based deliveries never call this.
-    fn charge_channel_penalty(&mut self, bytes: u64) {
-        if self.penalty > 1 {
-            let base = self.kernel.cost_model().copy_cost(bytes);
-            self.kernel.charge_time(base * (self.penalty - 1));
+/// Charges the pipe-vs-shared-memory channel penalty (`penalty`, see
+/// [`TransportCtx::penalty`]) for `bytes` that were actually copied.
+/// Map-based deliveries never call this.
+pub(super) fn charge_channel_penalty(kernel: &mut Kernel, penalty: u64, bytes: u64) {
+    if penalty > 1 {
+        let base = kernel.cost_model().copy_cost(bytes);
+        kernel.charge_time(base * (penalty - 1));
+    }
+}
+
+/// Grants `pid` a `perms` view of segment `seg` (object `obj`'s
+/// `len`-byte payload) and maps it, unless `pid` already holds a mapped
+/// view. Each new view is audited as one `ShmGrant`, so the grant table
+/// records every process that ever saw the segment.
+pub(super) fn map_view(
+    kernel: &mut Kernel,
+    tracer: &mut Tracer,
+    obj: ObjectId,
+    seg: ShmId,
+    len: u64,
+    pid: Pid,
+    perms: Perms,
+) -> Result<(), CallError> {
+    let viewed = kernel
+        .shm_segment(seg)
+        .is_some_and(|s| s.grant_of(pid).is_some() && s.is_mapped(pid));
+    if !viewed {
+        kernel
+            .shm_grant(seg, pid, perms)
+            .and_then(|()| kernel.shm_map(pid, seg))
+            .map_err(|_| CallError::StateLost(obj))?;
+        if tracer.enabled() {
+            let at_ns = kernel.now_ns();
+            tracer.record_audit(AuditRecord::ShmGrant {
+                at_ns,
+                object: obj,
+                segment: seg,
+                pid,
+                bytes: len,
+            });
         }
     }
+    Ok(())
 }
 
 /// One way of delivering an object's payload to a consumer process.
@@ -123,7 +158,7 @@ impl Transport for Eager {
                 .migrate_direct(ctx.kernel, obj, ctx.host)
                 .map_err(|_| CallError::StateLost(obj))?;
             ctx.stats.host_copies += 1;
-            ctx.charge_channel_penalty(len);
+            charge_channel_penalty(ctx.kernel, ctx.penalty, len);
             ctx.tracer.add_eager_bytes(ctx.seq, len);
         }
         // Hop 2: host to the executing agent.
@@ -131,7 +166,7 @@ impl Transport for Eager {
             .migrate_direct(ctx.kernel, obj, agent)
             .map_err(|_| CallError::StateLost(obj))?;
         ctx.stats.host_copies += 1;
-        ctx.charge_channel_penalty(len);
+        charge_channel_penalty(ctx.kernel, ctx.penalty, len);
         ctx.tracer.add_eager_bytes(ctx.seq, len);
         Ok(())
     }
@@ -157,7 +192,7 @@ impl Transport for Lazy {
             .migrate_direct(ctx.kernel, obj, agent)
             .map_err(|_| CallError::StateLost(obj))?;
         ctx.stats.ldc_copies += 1;
-        ctx.charge_channel_penalty(len);
+        charge_channel_penalty(ctx.kernel, ctx.penalty, len);
         ctx.tracer.add_lazy_bytes(ctx.seq, len);
         Ok(())
     }
@@ -211,31 +246,12 @@ impl Transport for Shm {
         // New grants inherit the segment's current lock level (the
         // current user's perms), so delivery cannot widen a temporal
         // read-only lock.
-        let viewed = ctx
+        let perms = ctx
             .kernel
             .shm_segment(seg)
-            .is_some_and(|s| s.grant_of(agent).is_some() && s.is_mapped(agent));
-        if !viewed {
-            let perms = ctx
-                .kernel
-                .shm_segment(seg)
-                .and_then(|s| s.grant_of(meta.home))
-                .unwrap_or(Perms::RW);
-            ctx.kernel
-                .shm_grant(seg, agent, perms)
-                .and_then(|()| ctx.kernel.shm_map(agent, seg))
-                .map_err(|_| CallError::StateLost(obj))?;
-            if ctx.tracer.enabled() {
-                let at_ns = ctx.kernel.now_ns();
-                ctx.tracer.record_audit(AuditRecord::ShmGrant {
-                    at_ns,
-                    object: obj,
-                    segment: seg,
-                    pid: agent,
-                    bytes: len,
-                });
-            }
-        }
+            .and_then(|s| s.grant_of(meta.home))
+            .unwrap_or(Perms::RW);
+        map_view(ctx.kernel, ctx.tracer, obj, seg, len, agent, perms)?;
         // Re-home: the agent is now the segment's current user. The
         // payload itself never moved — the registry records the mapped
         // length under `bytes_shm` so payload-size estimators keep

@@ -583,8 +583,8 @@ pub struct PolicyDecision {
     pub seq: u64,
     /// The partition whose knobs this decision governs.
     pub partition: PartitionId,
-    /// Whether the size-thresholded shm promotion rule is enabled for
-    /// this partition after the decision.
+    /// Whether the partition has an shm threshold after the decision
+    /// (the controller promoted it to the shm transport).
     pub shm_promoted: bool,
     /// The partition's batch window after the decision (`None` =
     /// batching off, one frame per call).

@@ -2,7 +2,7 @@
 //! must be functionally transparent (same results as no isolation) and
 //! must never destabilize the system.
 
-use freepart::{AdaptiveConfig, Policy, Runtime};
+use freepart::{Policy, Runtime};
 use freepart_frameworks::api::ApiKind;
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::registry::standard_registry;
@@ -261,8 +261,8 @@ proptest! {
         prop_assert!(rt2.kernel.clock().now_ns() >= rt.kernel.clock().now_ns());
     }
 
-    /// Adaptive transparency: for any random filter chain, any maximum
-    /// batch window, and any promotion threshold, the closed-loop
+    /// Adaptive transparency: for any random filter chain, any seeded
+    /// batch window, and any seeded promotion threshold, the closed-loop
     /// controller's knob choices never change a single output byte
     /// relative to a static-policy reference (and to no isolation at
     /// all), never destabilize the system, and always reach at least
@@ -277,12 +277,10 @@ proptest! {
         let mono = run_monolithic(&picks, side);
         let (static_ref, _) =
             run_freepart_async(with_window(Policy::freepart(), window), false, &picks, side);
-        let cfg = AdaptiveConfig {
-            max_batch_window: window,
-            shm_threshold: threshold,
-        };
         let policy = Policy {
-            adaptive: Some(cfg),
+            adaptive: true,
+            batch_window: Some(window),
+            shm_threshold: Some(threshold),
             ..Policy::freepart()
         };
         let (adaptive, rt) = run_freepart_async(policy, false, &picks, side);
@@ -353,7 +351,8 @@ proptest! {
         };
         let (want, srt) = run(Policy::freepart_supervised());
         let (got, art) = run(Policy {
-            adaptive: Some(AdaptiveConfig::default()),
+            adaptive: true,
+            batch_window: Some(Policy::DEFAULT_BATCH_WINDOW),
             ..Policy::freepart_supervised()
         });
         prop_assert_eq!(&got, &want, "outputs diverged under crashes");

@@ -82,6 +82,24 @@ fn unspawned_thread_is_rejected() {
 }
 
 #[test]
+fn host_data_defined_before_a_thread_spawn_is_locked_by_that_thread() {
+    // Annotated host data is shared by every thread, including threads
+    // spawned after it was defined: the later thread's first state
+    // transition must lock it even though the main thread never moved.
+    let mut rt = Runtime::install(standard_registry(), Policy::freepart());
+    let cfg = rt.host_data("self.config", &[7u8; 64]);
+    let t1 = rt.spawn_thread();
+    seed(&mut rt, "/a.simg", None);
+    rt.call_on(t1, "cv2.imread", &[Value::from("/a.simg")])
+        .unwrap();
+    assert_eq!(rt.current_state(), freepart::FrameworkState::Initialization);
+    assert!(
+        rt.is_protected(cfg),
+        "a later thread left host data writable"
+    );
+}
+
+#[test]
 fn objects_flow_between_threads_via_ldc() {
     // A frame loaded on one thread can be processed on another: LDC
     // moves it directly between the two threads' agents.

@@ -116,6 +116,23 @@ fn cross_tenant_object_access_is_denied_and_audited() {
     assert!(rt.call_tenant(victim, "cv2.GaussianBlur", &[img]).is_ok());
 }
 
+#[test]
+fn host_data_defined_before_a_tenant_spawn_is_locked_by_that_tenant() {
+    // Annotated host data is shared by every tenant, including tenants
+    // admitted after it was defined: the later tenant's first state
+    // transition must lock it.
+    let mut rt = pooled_rt();
+    let cfg = rt.host_data("self.config", &[7u8; 64]);
+    let path = stage_input(&mut rt, 0);
+    let t = rt.spawn_tenant();
+    rt.call_tenant(t, "cv2.imread", &[Value::from(path.as_str())])
+        .unwrap();
+    assert!(
+        rt.is_protected(cfg),
+        "a later tenant left host data writable"
+    );
+}
+
 /// Runs `f` and returns every object created while it ran.
 fn objects_made_by(rt: &mut Runtime, f: impl FnOnce(&mut Runtime)) -> Vec<ObjectId> {
     let mark = rt.objects.next_id_watermark();
