@@ -9,7 +9,7 @@
 //! hardware too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use freepart::{Policy, Runtime, StateMachine};
+use freepart::{state, Policy, Runtime, TemporalPlane, ThreadId};
 use freepart_apps::omr::{self, OmrConfig};
 use freepart_baselines::{build, SchemeKind};
 use freepart_frameworks::api::ApiType;
@@ -118,7 +118,7 @@ fn bench_temporal_transition(c: &mut Criterion) {
                 let mut kernel = Kernel::new();
                 let pid = kernel.spawn("p");
                 let mut store = ObjectStore::new();
-                let mut sm = StateMachine::new(true);
+                let mut plane = TemporalPlane::new(true);
                 for i in 0..64 {
                     let id = store
                         .create_with_data(
@@ -129,15 +129,14 @@ fn bench_temporal_transition(c: &mut Criterion) {
                             &[0u8; 4096],
                         )
                         .unwrap();
-                    sm.define(id);
+                    plane.define(ThreadId::MAIN, id);
                 }
-                (kernel, store, sm)
+                (kernel, store, plane)
             },
-            |(mut kernel, store, mut sm)| {
-                sm.observe(ApiType::DataLoading, &mut kernel, &store)
-                    .unwrap();
-                sm.observe(ApiType::DataProcessing, &mut kernel, &store)
-                    .unwrap();
+            |(mut kernel, store, mut plane)| {
+                for t in [ApiType::DataLoading, ApiType::DataProcessing] {
+                    state::observe(&mut plane, ThreadId::MAIN, t, &mut kernel, &store).unwrap();
+                }
             },
             criterion::BatchSize::SmallInput,
         );

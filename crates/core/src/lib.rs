@@ -3,8 +3,8 @@
 //! The paper's primary contribution: harden data-processing applications
 //! by (1) partitioning execution across **agent processes**, one per
 //! framework-API type; (2) hooking framework APIs into RPCs with **Lazy
-//! Data Copy**; (3) enforcing **temporal memory permissions** driven by
-//! the framework-state machine; and (4) **restricting syscalls** per
+//! Data Copy**; (3) enforcing **temporal memory permissions** at
+//! framework-state transitions; and (4) **restricting syscalls** per
 //! agent with seccomp-style locked allowlists.
 //!
 //! ## Quickstart
@@ -51,7 +51,7 @@ pub use runtime::transport::{Transport, TransportCtx};
 pub use runtime::{
     Agent, CallError, CallHandle, Knobs, Runtime, RuntimeStats, TenantHandle, TenantId, ThreadId,
 };
-pub use state::{FrameworkState, StateMachine};
+pub use state::{FrameworkState, TemporalPlane};
 pub use trace::{
     ApiStats, AuditRecord, Bucket, BucketTotals, CallOutcome, FlushReason, Log2Histogram,
     PolicyDecision, SpanEvent, SpanPhase, Tracer,

@@ -6,7 +6,7 @@ use super::{CallError, CallHandle, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::RestartPolicy;
 use crate::rpc::{BatchRequest, BatchResponse};
-use crate::state::FrameworkState;
+use crate::state::{self, FrameworkState};
 use crate::trace::{AuditRecord, CallOutcome, FlushReason, SpanEvent, SpanPhase};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, Value};
@@ -95,7 +95,7 @@ impl Runtime {
 
     /// Calls a framework API by name on a specific application thread:
     /// the call routes to *that thread's* agent set and drives that
-    /// thread's framework-state machine.
+    /// thread's framework state.
     ///
     /// # Errors
     ///
@@ -312,7 +312,7 @@ impl Runtime {
             .unwrap_or(0)
     }
 
-    /// Submission: security checks, state-machine barrier + transition,
+    /// Submission: security checks, state-transition barrier + transition,
     /// window enforcement, then one (crash-retried) delivery attempt.
     /// The call is fully executed agent-side when this returns; only
     /// the response leg and host bookkeeping remain for `wait`.
@@ -323,7 +323,7 @@ impl Runtime {
         args: &[Value],
         deps: &[CallHandle],
     ) -> Result<CallHandle, CallError> {
-        if !self.states.contains_key(&thread) {
+        if !self.temporal.has_thread(thread) {
             return Err(CallError::UnknownApi(format!("{thread} not spawned")));
         }
         let api_type = self.report.type_of(api);
@@ -337,7 +337,7 @@ impl Runtime {
         // observed below. Shared pools drain the same way: each pool's
         // window bounds its in-flight queue, so the drain is
         // O(pools × window) however many tenants share the pools.
-        if !neutral && self.states[&thread].would_transition(api_type) {
+        if !neutral && self.state_of(thread) != FrameworkState::InType(api_type) {
             self.flush_batch(FlushReason::Transition);
             self.drain_inflight();
         }
@@ -368,26 +368,22 @@ impl Runtime {
             }
         } else {
             // Temporal protection fires on the state change, *before* the
-            // API executes (Fig. 3). Snapshot the page counter and the
-            // protected set around it so the audit record carries the
-            // exact protection delta this transition applied.
-            let from = self.state_of(thread);
-            let before = if tracing {
-                Some((
-                    self.kernel.now_ns(),
-                    self.kernel.metrics().protected_pages,
-                    self.states[&thread].protected().len(),
-                ))
-            } else {
-                None
-            };
+            // API executes (Fig. 3). Snapshot the page counter around it
+            // so the audit record carries the exact protection delta this
+            // transition applied.
+            let before =
+                tracing.then(|| (self.kernel.now_ns(), self.kernel.metrics().protected_pages));
             // Flight-recorder correlation: the commit-log slice covering
             // this transition's mprotect storm + temporal-grant sweep.
             let commits0 = self.kernel.commit_len();
-            let sm = self.states.get_mut(&thread).expect("checked");
-            let newly = sm.observe(api_type, &mut self.kernel, &self.objects).ok();
-            let to = self.state_of(thread);
-            if to != from {
+            let transition = state::observe(
+                &mut self.temporal,
+                thread,
+                api_type,
+                &mut self.kernel,
+                &self.objects,
+            );
+            if let Some(tr) = transition {
                 // Temporal grants: shared-memory views issued to agents
                 // of the state being left are torn down inside the same
                 // barrier as the mprotect storm — the in-flight queue is
@@ -398,24 +394,19 @@ impl Runtime {
                 // grants revoked), so the controller may re-pick knobs
                 // for the configuration epoch this call opens.
                 self.adaptive_decision_point(seq);
-            }
-            if let Some((t0, pages0, prot0)) = before {
-                if to != from {
+                if let Some((t0, pages0)) = before {
                     let now = self.kernel.now_ns();
                     let pages = self.kernel.metrics().protected_pages - pages0;
-                    let prot1 = self.states[&thread].protected().len();
-                    let locked = newly.unwrap_or(0);
-                    let unlocked = (prot0 + locked).saturating_sub(prot1);
                     let commits = (commits0, self.kernel.commit_len());
                     self.tracer.record_audit_with_commits(
                         AuditRecord::StateTransition {
                             at_ns: t0,
                             thread,
                             seq,
-                            from,
-                            to,
-                            objects_locked: locked,
-                            objects_unlocked: unlocked,
+                            from: tr.from,
+                            to: tr.to,
+                            objects_locked: tr.locked.len(),
+                            objects_unlocked: tr.released,
                             pages,
                         },
                         Some(commits),

@@ -210,7 +210,7 @@ impl Runtime {
         // a range scan over ids past the watermark, not a store-wide one.
         let new_ids: Vec<ObjectId> = self.objects.ids_since(watermark).collect();
         for id in &new_ids {
-            self.define_on(thread, *id);
+            self.temporal.define(thread, *id);
         }
 
         // --- eager copy-back without LDC ---

@@ -306,7 +306,7 @@ impl Runtime {
                             meta.kind = entry.kind.clone();
                             meta.label = entry.label.clone();
                         }
-                        self.reapply_all(entry.object);
+                        self.reprotect(entry.object);
                     }
                     Err(reason) => {
                         // A failed restore must not leave `meta.home`
@@ -367,22 +367,13 @@ impl Runtime {
     }
 
     /// Drops a restore-orphaned object everywhere the runtime tracks it:
-    /// store, temporal-protection machines, pins, and hazards. Later
-    /// calls that reference it fail fast with `StateLost`.
+    /// store, temporal plane, pins, and hazards. Later calls that
+    /// reference it fail fast with `StateLost`.
     fn quarantine_object(&mut self, id: ObjectId) {
         self.objects.destroy(id);
-        for sm in self.states.values_mut() {
-            sm.forget(id);
-        }
+        self.temporal.forget(id);
         self.pinned.remove(&id);
         self.last_touch.remove(&id);
-        self.shm_index.remove(&id);
-        if let Some(owner) = self.owner_of.remove(&id) {
-            if let Some(set) = self.shm_owned.get_mut(&owner) {
-                set.remove(&id);
-            }
-        }
-        self.shared_objs.remove(&id);
     }
 
     /// Spends one token from the partition's restart budget. Returns

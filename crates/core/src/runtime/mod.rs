@@ -7,7 +7,7 @@
 //! [`Runtime::call`] is the hooked interface: it marshals the request,
 //! routes it to the right agent (type-neutral APIs follow the calling
 //! context), moves object payloads according to the transport policy,
-//! drives the framework-state machine's temporal permissions, executes
+//! drives the temporal plane's memory permissions, executes
 //! the API *in the agent's process context*, and handles agent crashes
 //! with optional restart (at-least-once re-execution).
 //!
@@ -50,7 +50,7 @@ pub use pool::{TenantHandle, TenantId};
 use crate::partition::PartitionId;
 use crate::policy::Policy;
 use crate::rpc::CompletionCache;
-use crate::state::{FrameworkState, StateMachine};
+use crate::state::{FrameworkState, TemporalPlane};
 use crate::trace::Tracer;
 use freepart_analysis::{HybridReport, SyscallProfile, TestCorpus};
 use freepart_frameworks::api::{ApiId, ApiRegistry};
@@ -63,7 +63,7 @@ use callplane::{InFlight, PendingBatch};
 
 /// Identifier of an application thread. Per the paper's §6, every
 /// thread gets its **own set of agent processes** (and its own
-/// framework-state machine), avoiding cross-thread races on agents.
+/// framework state), avoiding cross-thread races on agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
@@ -325,11 +325,9 @@ pub struct Runtime {
     host: Pid,
     routes: RoutingTable,
     agents: BTreeMap<PartitionId, Agent>,
-    states: BTreeMap<ThreadId, StateMachine>,
-    /// Next thread id to hand out — an O(1) counter, not a max-scan
-    /// over `states` (which was linear in the number of threads/tenants
-    /// on every spawn).
-    next_thread: u32,
+    /// Every temporal-protection decision: thread states, object
+    /// owners and lock counts, and the segment index.
+    temporal: TemporalPlane,
     seq: u64,
     /// One-shot fault injection: kill this partition's agent after its
     /// next successful execution but before the response is delivered.
@@ -378,24 +376,6 @@ pub struct Runtime {
     /// (`Policy::adaptive`): edits `knob_table` at state-transition
     /// drain barriers. `None` = the seeded table stays as it is.
     controller: Option<controller::Controller>,
-    /// Defining thread per object — lets re-protection and the
-    /// tenant gate resolve an object's owner in O(log n) instead of
-    /// scanning every thread's state machine. First definer wins
-    /// (objects never change hands across tenants).
-    owner_of: BTreeMap<ObjectId, ThreadId>,
-    /// Objects defined in *every* thread's machine (annotated host
-    /// data): exempt from the tenant gate and still
-    /// swept via the all-threads path.
-    shared_objs: BTreeSet<ObjectId>,
-    /// Every object whose payload has been promoted to a shared-memory
-    /// segment — the temporal-grant sweeps walk this index instead of
-    /// the whole object store (which made every state transition linear
-    /// in global object count).
-    shm_index: BTreeSet<ObjectId>,
-    /// The shm index partitioned by owning thread, for the pooled
-    /// per-tenant sweep (a tenant's transition revokes only grants on
-    /// its own + shared segments: O(1) in the number of tenants).
-    shm_owned: BTreeMap<ThreadId, BTreeSet<ObjectId>>,
     /// Pooled mode (`Policy::pooled`): run queues, tickets and tenant
     /// processes. `None` = per-thread agent sets (the seed model).
     pool: Option<pool::Pool>,
@@ -435,9 +415,7 @@ impl Runtime {
             kernel.enable_commit_log();
         }
         let host = kernel.spawn("host");
-        let temporal = policy.temporal_protection;
-        let mut states = BTreeMap::new();
-        states.insert(ThreadId::MAIN, StateMachine::new(temporal));
+        let temporal = TemporalPlane::new(policy.temporal_protection);
         // Route every catalog API to its partition once; install-time
         // agent creation, spawn_thread, and the call hot path all read
         // this table instead of recomputing the grouping.
@@ -463,8 +441,7 @@ impl Runtime {
             host,
             routes,
             agents: BTreeMap::new(),
-            states,
-            next_thread: 1,
+            temporal,
             seq: 0,
             crash_before_response: None,
             exploit_log: Vec::new(),
@@ -485,10 +462,6 @@ impl Runtime {
             governors: BTreeMap::new(),
             fail_next_restore: None,
             controller,
-            owner_of: BTreeMap::new(),
-            shared_objs: BTreeSet::new(),
-            shm_index: BTreeSet::new(),
-            shm_owned: BTreeMap::new(),
             pool,
         };
         rt.spawn_agent_set(ThreadId::MAIN);
@@ -609,41 +582,21 @@ impl Runtime {
     /// The main thread's Fig. 3 state timeline:
     /// `(virtual ns, state entered, objects newly locked)`.
     pub fn state_timeline(&self) -> Vec<(u64, FrameworkState, usize)> {
-        self.states
-            .get(&ThreadId::MAIN)
-            .map(|s| s.timeline().to_vec())
-            .unwrap_or_default()
+        self.temporal.timeline(ThreadId::MAIN).to_vec()
     }
 
     /// The current framework state of one thread.
     pub fn state_of(&self, thread: ThreadId) -> FrameworkState {
-        self.states
-            .get(&thread)
-            .map_or(FrameworkState::Initialization, StateMachine::current)
+        self.temporal.state_of(thread)
     }
 
     /// Spawns a fresh set of agent processes (one per partition) for a
-    /// new application thread, with its own framework-state machine —
+    /// new application thread, with its own framework state —
     /// the paper's multi-threading model (§6). Returns the thread id to
     /// pass to [`Runtime::call_on`].
     pub fn spawn_thread(&mut self) -> ThreadId {
-        let thread = self.new_thread();
+        let thread = self.temporal.add_thread();
         self.spawn_agent_set(thread);
-        thread
-    }
-
-    /// Hands out the next thread id with a fresh framework-state
-    /// machine that already tracks every annotated host-data object, so
-    /// shared data gets locked whichever thread or tenant later drives
-    /// the pipeline past Initialization.
-    pub(super) fn new_thread(&mut self) -> ThreadId {
-        let thread = ThreadId(self.next_thread);
-        self.next_thread += 1;
-        let mut sm = StateMachine::new(self.policy.temporal_protection);
-        for id in &self.shared_objs {
-            sm.define(*id);
-        }
-        self.states.insert(thread, sm);
         thread
     }
 
@@ -673,14 +626,10 @@ impl Runtime {
     /// shared-memory counters mirror the kernel's (the runtime is the
     /// only grant issuer).
     pub fn stats(&self) -> RuntimeStats {
-        let mut distinct: BTreeSet<ObjectId> = BTreeSet::new();
-        for s in self.states.values() {
-            distinct.extend(s.protected().iter().copied());
-        }
         let m = self.kernel.metrics();
         RuntimeStats {
-            transitions: self.states.values().map(|s| s.transitions).sum(),
-            protected_objects: distinct.len() as u64,
+            transitions: self.temporal.transitions(),
+            protected_objects: self.temporal.locked_objects(),
             shm_grants: m.shm_grants,
             shm_revokes: m.shm_revokes,
             shm_mapped_bytes: m.shm_mapped_bytes,
@@ -693,9 +642,9 @@ impl Runtime {
         &self.call_log
     }
 
-    /// Whether any thread's state machine protects a given object.
+    /// Whether any thread holds a temporal lock on a given object.
     pub fn is_protected(&self, id: ObjectId) -> bool {
-        self.states.values().any(|s| s.is_protected(id))
+        self.temporal.locks(id) > 0
     }
 
     // ------------------------------------------------------------------

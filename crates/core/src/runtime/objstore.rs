@@ -9,7 +9,7 @@ use super::transport::{
 use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::HostDataPlacement;
-use crate::state::StateMachine;
+use crate::state;
 use crate::trace::{AuditRecord, SpanEvent, SpanPhase};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, ObjectKind, ObjectMeta};
@@ -39,7 +39,7 @@ impl Runtime {
         if self.policy.host_data == HostDataPlacement::OwnProcessEach {
             self.pinned.insert(id, home);
         }
-        self.define_everywhere(id);
+        self.temporal.share(id);
         id
     }
 
@@ -50,29 +50,8 @@ impl Runtime {
             .objects
             .create_with_data(&mut self.kernel, self.host, kind, label, bytes)
             .expect("host is alive");
-        self.define_everywhere(id);
+        self.temporal.share(id);
         id
-    }
-
-    pub(super) fn define_on(&mut self, thread: ThreadId, id: ObjectId) {
-        // First definer wins the ownership record: the owner index is
-        // what lets the pooled hot paths (tenant gate, per-tenant
-        // grant sweeps, re-protection) skip every other tenant's state.
-        self.owner_of.entry(id).or_insert(thread);
-        self.states
-            .entry(thread)
-            .or_insert_with(|| StateMachine::new(self.policy.temporal_protection))
-            .define(id);
-    }
-
-    /// Registers annotated host data with *every* live thread's state
-    /// machine: critical data must stay protected no matter which thread
-    /// drives the pipeline past its defining state.
-    fn define_everywhere(&mut self, id: ObjectId) {
-        self.shared_objs.insert(id);
-        for sm in self.states.values_mut() {
-            sm.define(id);
-        }
     }
 
     /// Reads an object's payload from the host's perspective — a host
@@ -218,7 +197,7 @@ impl Runtime {
                 bytes: len,
             });
         }
-        self.reapply_all(obj);
+        self.reprotect(obj);
         Ok(())
     }
 
@@ -313,50 +292,22 @@ impl Runtime {
         // Delivery is the only shm-promotion site: index the segment so
         // the revocation sweeps never rescan the whole object table.
         if self.objects.meta(obj).is_some_and(|m| m.shm.is_some()) {
-            self.shm_index.insert(obj);
-            if let Some(&owner) = self.owner_of.get(&obj) {
-                self.shm_owned.entry(owner).or_default().insert(obj);
-            }
+            self.temporal.note_segment(obj);
         }
-        self.reapply_all(obj);
+        self.reprotect(obj);
         Ok(())
     }
 
-    /// Re-applies temporal protection from whichever thread's machine
-    /// tracks the object (after a migration re-materialized it writable).
-    /// Owned objects consult only their owner's machine — O(1) in the
-    /// thread/tenant count; shared (annotated host) data still scans
-    /// every machine, as any thread may be protecting it.
-    pub(super) fn reapply_all(&mut self, obj: ObjectId) {
-        let threads: Vec<ThreadId> = match self.owner_of.get(&obj) {
-            Some(&owner) if !self.shared_objs.contains(&obj) => self
-                .states
-                .get(&owner)
-                .filter(|s| s.is_protected(obj))
-                .map(|_| vec![owner])
-                .unwrap_or_default(),
-            _ => self
-                .states
-                .iter()
-                .filter(|(_, s)| s.is_protected(obj))
-                .map(|(t, _)| *t)
-                .collect(),
-        };
-        if threads.is_empty() {
-            return;
-        }
-        let tracing = self.tracer.enabled();
-        let before = if tracing {
-            Some((self.kernel.now_ns(), self.kernel.metrics().protected_pages))
-        } else {
-            None
-        };
-        for t in &threads {
-            if let Some(sm) = self.states.get(t) {
-                sm.reapply(&mut self.kernel, &self.objects, obj).ok();
-            }
-        }
-        if let Some((t0, pages0)) = before {
+    /// Re-applies temporal protection to a locked object after a
+    /// migration or restore re-materialized it writable — one lock-holder
+    /// lookup, O(1) in the thread/tenant count.
+    pub(super) fn reprotect(&mut self, obj: ObjectId) {
+        let before = self
+            .tracer
+            .enabled()
+            .then(|| (self.kernel.now_ns(), self.kernel.metrics().protected_pages));
+        let holder = state::reapply(&self.temporal, &mut self.kernel, &self.objects, obj);
+        if let (Some(thread), Some((t0, pages0))) = (holder, before) {
             let now = self.kernel.now_ns();
             let pages = self.kernel.metrics().protected_pages - pages0;
             self.tracer.record_audit(AuditRecord::Reprotect {
@@ -369,7 +320,7 @@ impl Runtime {
                 seq: self.seq,
                 api: None,
                 partition: None,
-                thread: threads[0],
+                thread,
                 start_ns: t0,
                 end_ns: now,
                 bytes: 0,
@@ -384,26 +335,10 @@ impl Runtime {
     /// would drop the table entries silently; sweeping here first keeps
     /// revocation audited.)
     pub(super) fn revoke_views_of(&mut self, dead: Pid, seq: u64) {
-        debug_assert!(self.shm_index_consistent(), "shm index drifted");
-        let shm_objs: Vec<(ObjectId, ShmId)> = self
-            .shm_index
-            .iter()
-            .filter_map(|&id| {
-                self.objects
-                    .meta(id)
-                    .and_then(|m| m.shm.map(|(seg, _)| (id, seg)))
-            })
-            .collect();
-        for (obj, seg) in shm_objs {
-            if self.kernel.shm_revoke(seg, dead).unwrap_or(false) && self.tracer.enabled() {
-                let at_ns = self.kernel.now_ns();
-                self.tracer.record_audit(AuditRecord::ShmRevoke {
-                    at_ns,
-                    object: obj,
-                    segment: seg,
-                    pid: dead,
-                    seq,
-                });
+        debug_assert!(self.segment_index_consistent(), "segment index drifted");
+        for obj in self.temporal.segments(None) {
+            if let Some((seg, _)) = self.objects.meta(obj).and_then(|m| m.shm) {
+                self.revoke_view(obj, seg, dead, seq);
             }
         }
     }
@@ -413,36 +348,22 @@ impl Runtime {
     /// the segment's current user is revoked — the segment analogue of
     /// the mprotect storm. Runs inside the drain barrier (no call in
     /// flight), so a stale agent's next access faults instead of racing
-    /// the sweep. One audit record per revoked `(segment, pid)` pair.
+    /// the sweep. One audit record per revoked `(segment, pid)` pair, in
+    /// ascending object order — the order the pre-index full table scan
+    /// produced, so audit logs and replay digests are unchanged.
     ///
     /// Per-thread agent sets sweep every segment. Pooled mode sweeps
-    /// only the transitioning tenant's segments plus shared annotated
-    /// data (which its state machine also locks) — O(1) in the tenant
-    /// count, where the global sweep is O(total shm objects).
+    /// only the segments the transitioning tenant tracks — its own plus
+    /// shared annotated data — O(1) in the tenant count, where the
+    /// global sweep is O(total shm objects).
     pub(super) fn revoke_out_of_state_grants(&mut self, thread: ThreadId, seq: u64) {
-        let objs: Vec<ObjectId> = if self.pooled() {
-            let mut objs: Vec<ObjectId> = self
-                .shm_owned
-                .get(&thread)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            objs.extend(self.shared_objs.intersection(&self.shm_index));
-            objs.sort_unstable();
-            objs.dedup();
-            objs
+        let objs = if self.pooled() {
+            self.temporal.segments(Some(thread))
         } else {
-            debug_assert!(self.shm_index_consistent(), "shm index drifted");
-            self.shm_index.iter().copied().collect()
+            debug_assert!(self.segment_index_consistent(), "segment index drifted");
+            self.temporal.segments(None)
         };
-        self.revoke_stale_grants_on(&objs, seq);
-    }
-
-    /// Revokes every grant on `objs`' segments held by a process other
-    /// than the segment's current home. Ascending object order — the
-    /// same order the pre-index full table scan produced, so audit logs
-    /// and replay digests are unchanged.
-    fn revoke_stale_grants_on(&mut self, objs: &[ObjectId], seq: u64) {
-        for &obj in objs {
+        for obj in objs {
             let Some((seg, home)) = self
                 .objects
                 .meta(obj)
@@ -456,28 +377,33 @@ impl Runtime {
                 .map(|s| s.grants().map(|(p, _)| p).filter(|p| *p != home).collect())
                 .unwrap_or_default();
             for pid in stale {
-                if self.kernel.shm_revoke(seg, pid).unwrap_or(false) && self.tracer.enabled() {
-                    let at_ns = self.kernel.now_ns();
-                    self.tracer.record_audit(AuditRecord::ShmRevoke {
-                        at_ns,
-                        object: obj,
-                        segment: seg,
-                        pid,
-                        seq,
-                    });
-                }
+                self.revoke_view(obj, seg, pid, seq);
             }
         }
     }
 
-    /// Debug-build invariant: the shm index names exactly the objects the
-    /// store holds segment-backed.
-    fn shm_index_consistent(&self) -> bool {
-        let full: std::collections::BTreeSet<ObjectId> = self
+    /// Revokes `pid`'s view of `obj`'s segment, audited.
+    fn revoke_view(&mut self, obj: ObjectId, seg: ShmId, pid: Pid, seq: u64) {
+        if self.kernel.shm_revoke(seg, pid).unwrap_or(false) && self.tracer.enabled() {
+            let at_ns = self.kernel.now_ns();
+            self.tracer.record_audit(AuditRecord::ShmRevoke {
+                at_ns,
+                object: obj,
+                segment: seg,
+                pid,
+                seq,
+            });
+        }
+    }
+
+    /// Debug-build invariant: the plane's segment index names exactly
+    /// the objects the store holds segment-backed.
+    fn segment_index_consistent(&self) -> bool {
+        let full = self
             .objects
             .iter()
-            .filter_map(|m| m.shm.map(|_| m.id))
-            .collect();
-        full == self.shm_index
+            .filter(|m| m.shm.is_some())
+            .map(|m| m.id);
+        full.eq(self.temporal.segments(None))
     }
 }

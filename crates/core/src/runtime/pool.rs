@@ -10,8 +10,8 @@
 //! dispatch, journal and drain barrier as every other call); two
 //! mechanisms make the sharing safe and fair:
 //!
-//! * **The tenant gate** — every object records its defining tenant
-//!   (`Runtime::owner_of`), and [`Runtime::tenant_may_access`] is the
+//! * **The tenant gate** — the temporal plane records every object's
+//!   defining tenant (`state::Owner`), and [`Runtime::tenant_may_access`] is the
 //!   one host-side check: dispatch refuses any call that names another
 //!   tenant's object before a single payload byte moves, and
 //!   [`Runtime::tenant_fetch`] refuses foreign reads, each with a
@@ -25,6 +25,7 @@
 use super::{CallError, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::PoolConfig;
+use crate::state::Owner;
 use crate::trace::AuditRecord;
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, Value};
@@ -126,7 +127,7 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Admits a new tenant pipeline to the shared pools: one fresh
-    /// framework-state machine and one lightweight pipeline process —
+    /// thread of the temporal plane and one lightweight pipeline process —
     /// *no* agent set. The whole point of pooling: process count grows
     /// 4 + N, not 5N.
     ///
@@ -139,7 +140,7 @@ impl Runtime {
             self.pooled(),
             "spawn_tenant requires Policy::pooled (see Policy::freepart_pooled)"
         );
-        let thread = self.new_thread();
+        let thread = self.temporal.add_thread();
         let pid = self.kernel.spawn(&format!("tenant:{}", thread.0));
         let pool = self.pool.as_mut().expect("checked");
         pool.pids.insert(thread.0, pid);
@@ -333,12 +334,11 @@ impl Runtime {
     /// (service-global fixtures), and untracked objects pass; another
     /// tenant's objects do not.
     pub fn tenant_may_access(&self, thread: ThreadId, obj: ObjectId) -> bool {
-        if thread == ThreadId::MAIN || self.shared_objs.contains(&obj) {
-            return true;
-        }
-        match self.owner_of.get(&obj) {
-            None => true,
-            Some(&owner) => owner == thread || owner == ThreadId::MAIN,
+        match self.temporal.owner(obj) {
+            Some(Owner::Thread(owner)) => {
+                thread == ThreadId::MAIN || owner == thread || owner == ThreadId::MAIN
+            }
+            Some(Owner::Shared) | None => true,
         }
     }
 
@@ -352,7 +352,10 @@ impl Runtime {
         obj: ObjectId,
     ) -> CallError {
         self.stats.tenant_denials += 1;
-        let owner = self.owner_of.get(&obj).map_or(0, |t| t.0);
+        let owner = match self.temporal.owner(obj) {
+            Some(Owner::Thread(t)) => t.0,
+            _ => 0,
+        };
         if self.tracer.enabled() {
             let at_ns = self.kernel.now_ns();
             self.tracer.record_audit(AuditRecord::CrossTenantDenied {

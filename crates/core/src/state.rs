@@ -1,23 +1,37 @@
-//! The framework-state machine and temporal memory protection
-//! (paper §4.4.3, Fig. 3).
+//! Temporal memory protection (paper §4.4.3, Figs. 2-e and 3).
 //!
-//! The runtime infers the application's pipeline position from the type
-//! of the framework API being invoked. On a state *transition*, every
-//! data object defined during the previous state is made read-only via
-//! `mprotect` — so an exploit firing later in the pipeline cannot
-//! corrupt earlier-stage data (OMRChecker's `template` after
-//! `imread()` starts).
+//! The runtime infers each application thread's pipeline position from
+//! the type of the framework API it invokes. A thread *holds a lock* on
+//! an object it tracks while its current state differs from the state
+//! the object was defined in: a transition locks what the state being
+//! left defined — so an exploit firing later in the pipeline cannot
+//! corrupt earlier-stage data (OMRChecker's `template` after `imread()`
+//! starts) — and releases what the re-entered state defined (Fig. 2-e's
+//! "writable *during* data loading APIs": video frames, training loops).
+//! Initialization is never re-entered, so its objects stay locked. An
+//! object is tracked by the thread that defined it, or by every thread
+//! when it is annotated host data, and stays locked while its lock count
+//! (the threads holding a lock on it) is above zero.
+//!
+//! [`TemporalPlane`] records these decisions and never calls the kernel;
+//! [`observe`] and [`reapply`] apply them through `set_perms`, the one
+//! place a decision becomes `protect` or `shm_protect_all`. A kernel call
+//! skipped for a dead home therefore never erases a decision: the
+//! restored copy is locked by the same count.
 
+use crate::runtime::ThreadId;
 use freepart_frameworks::api::ApiType;
-use freepart_frameworks::{ObjectId, ObjectStore};
-use freepart_simos::{Kernel, Perms, SimResult};
+use freepart_frameworks::{ObjectId, ObjectMeta, ObjectStore};
+use freepart_simos::{Kernel, Perms};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The five framework states (Initialization + the four API types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FrameworkState {
     /// Before any framework API has run.
+    #[default]
     Initialization,
     /// Inside a run of APIs of one type.
     InType(ApiType),
@@ -32,213 +46,334 @@ impl fmt::Display for FrameworkState {
     }
 }
 
-/// Tracks the current state, which objects were defined in which state,
-/// and enforces the read-only transition rule.
-#[derive(Debug)]
-pub struct StateMachine {
-    current: FrameworkState,
-    /// Defining state per object (the reverse index of `by_state`).
-    defined_in: BTreeMap<ObjectId, FrameworkState>,
-    /// Objects defined during each state. Transitions walk only the
-    /// previous and next states' sets instead of scanning every live
-    /// object, so a transition costs O(objects in those two states).
-    by_state: BTreeMap<FrameworkState, BTreeSet<ObjectId>>,
-    /// Objects currently locked read-only.
-    protected: BTreeSet<ObjectId>,
-    /// Total state transitions taken.
-    pub transitions: u64,
-    /// `(virtual ns, new state, objects newly locked)` per transition —
-    /// the Fig. 3 timeline.
-    timeline: Vec<(u64, FrameworkState, usize)>,
-    enabled: bool,
+/// Which threads track an object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum Owner {
+    /// The one application thread (or pooled tenant) that defined it.
+    Thread(ThreadId),
+    /// Annotated host data: every thread tracks it, later ones included.
+    Shared,
 }
 
-impl StateMachine {
-    /// A fresh machine in the Initialization state.
-    pub fn new(enabled: bool) -> StateMachine {
-        StateMachine {
-            current: FrameworkState::Initialization,
-            defined_in: BTreeMap::new(),
-            by_state: BTreeMap::new(),
-            protected: BTreeSet::new(),
-            transitions: 0,
-            timeline: Vec::new(),
+/// One transition's decisions, each list in ascending object order.
+#[derive(Debug)]
+pub struct Transition {
+    /// The state left.
+    pub from: FrameworkState,
+    /// The state entered.
+    pub to: FrameworkState,
+    /// Objects the thread newly holds a lock on; pages another thread's
+    /// lock already made read-only cost nothing to lock again.
+    pub locked: Vec<ObjectId>,
+    /// How many locks the thread released by re-entering `to`.
+    pub released: usize,
+    /// Objects whose lock count fell to zero: writable again.
+    pub unlocked: Vec<ObjectId>,
+}
+
+#[derive(Debug, Default)]
+struct ThreadTrack {
+    current: FrameworkState,
+    /// Tracked objects by defining state, each with whether this thread
+    /// holds a lock on it. A transition walks only the left and
+    /// re-entered states' maps.
+    by_state: BTreeMap<FrameworkState, BTreeMap<ObjectId, bool>>,
+    /// `(virtual ns, state entered, objects newly locked)` per
+    /// transition — the Fig. 3 timeline.
+    timeline: Vec<(u64, FrameworkState, usize)>,
+}
+
+impl ThreadTrack {
+    fn define(&mut self, id: ObjectId) {
+        self.by_state
+            .entry(self.current)
+            .or_default()
+            .insert(id, false);
+    }
+
+    fn holds(&self, id: ObjectId) -> bool {
+        self.by_state
+            .values()
+            .any(|ids| ids.get(&id) == Some(&true))
+    }
+}
+
+/// Every temporal-protection decision of one runtime: per thread, its
+/// state, its objects by defining state with its locks, and its Fig. 3
+/// timeline; per object, its owner; and the index of segment-backed
+/// objects by owner that the grant sweeps and crash reaping walk. An
+/// owned object's lock count is its one tracking thread's lock (0 or 1);
+/// shared data records its lock holders.
+#[derive(Debug)]
+pub struct TemporalPlane {
+    /// `false` (`Policy::temporal_protection` off): states are tracked
+    /// but nothing is ever locked.
+    enabled: bool,
+    threads: BTreeMap<ThreadId, ThreadTrack>,
+    owners: BTreeMap<ObjectId, Owner>,
+    /// The threads holding a lock on each annotated host-data object.
+    shared: BTreeMap<ObjectId, BTreeSet<ThreadId>>,
+    /// `None` keys objects no thread tracks.
+    segments: BTreeMap<Option<Owner>, BTreeSet<ObjectId>>,
+    transitions: u64,
+    /// Objects whose lock count is above zero.
+    locked: u64,
+}
+
+impl TemporalPlane {
+    /// A plane tracking only the main thread, in Initialization.
+    pub fn new(enabled: bool) -> TemporalPlane {
+        TemporalPlane {
             enabled,
+            threads: BTreeMap::from([(ThreadId::MAIN, ThreadTrack::default())]),
+            owners: BTreeMap::new(),
+            shared: BTreeMap::new(),
+            segments: BTreeMap::new(),
+            transitions: 0,
+            locked: 0,
         }
     }
 
-    /// The current framework state.
-    pub fn current(&self) -> FrameworkState {
-        self.current
+    /// Hands out the next thread id and tracks it from Initialization,
+    /// along with every annotated host-data object.
+    pub fn add_thread(&mut self) -> ThreadId {
+        let thread = ThreadId(u32::try_from(self.threads.len()).expect("under 2^32 threads"));
+        let mut track = ThreadTrack::default();
+        if !self.shared.is_empty() {
+            let ids = self.shared.keys().map(|id| (*id, false)).collect();
+            track.by_state.insert(FrameworkState::Initialization, ids);
+        }
+        self.threads.insert(thread, track);
+        thread
     }
 
-    /// True when observing an API of type `t` would change state (and
-    /// therefore run an `mprotect` storm). The async runtime uses this
-    /// to drain in-flight calls *before* the storm.
-    pub fn would_transition(&self, t: ApiType) -> bool {
-        FrameworkState::InType(t) != self.current
+    /// Whether `thread` is tracked.
+    pub(crate) fn has_thread(&self, thread: ThreadId) -> bool {
+        self.threads.contains_key(&thread)
     }
 
-    /// Registers an object as defined in the current state.
-    pub fn define(&mut self, id: ObjectId) {
-        if !self.defined_in.contains_key(&id) {
-            self.defined_in.insert(id, self.current);
-            self.by_state.entry(self.current).or_default().insert(id);
+    /// The current state of `thread` (Initialization when untracked).
+    pub fn state_of(&self, thread: ThreadId) -> FrameworkState {
+        self.threads
+            .get(&thread)
+            .map(|t| t.current)
+            .unwrap_or_default()
+    }
+
+    /// Registers `id` as owned by `thread`, defined in its current state.
+    /// The first definition wins.
+    pub fn define(&mut self, thread: ThreadId, id: ObjectId) {
+        let Some(track) = self.threads.get_mut(&thread) else {
+            return;
+        };
+        if let Entry::Vacant(owner) = self.owners.entry(id) {
+            owner.insert(Owner::Thread(thread));
+            track.define(id);
         }
     }
 
-    /// The state an object was defined in, if tracked.
-    pub fn defined_state(&self, id: ObjectId) -> Option<FrameworkState> {
-        self.defined_in.get(&id).copied()
+    /// Registers annotated host data, defined in every thread's current
+    /// state. The first definition wins.
+    pub fn share(&mut self, id: ObjectId) {
+        if let Entry::Vacant(owner) = self.owners.entry(id) {
+            owner.insert(Owner::Shared);
+            self.shared.insert(id, BTreeSet::new());
+            self.threads.values_mut().for_each(|track| track.define(id));
+        }
     }
 
-    /// True when the object has been locked read-only.
-    pub fn is_protected(&self, id: ObjectId) -> bool {
-        self.protected.contains(&id)
+    /// Who tracks `id`; `None` when no thread does.
+    pub(crate) fn owner(&self, id: ObjectId) -> Option<Owner> {
+        self.owners.get(&id).copied()
     }
 
-    /// Objects currently protected.
-    pub fn protected(&self) -> &BTreeSet<ObjectId> {
-        &self.protected
-    }
-
-    /// Observes an API call of type `t`; on a state change, locks every
-    /// object defined during the previous state and — per Fig. 2-e's
-    /// "writable *during* data loading APIs" — unlocks objects whose
-    /// defining state is being re-entered (cyclic pipelines: video
-    /// frames, training loops). Initialization-defined objects are never
-    /// re-entered and stay locked forever (the motivating example's
-    /// `template`). Returns the number of objects newly protected.
-    pub fn observe(
+    /// Records `thread` observing an API of type `t`: on a state change,
+    /// the thread locks every object with a payload that the left state
+    /// defined and releases its locks on what the re-entered state
+    /// defined. `None` when the state does not change. [`observe`]
+    /// applies the decisions.
+    fn transition(
         &mut self,
+        thread: ThreadId,
         t: ApiType,
-        kernel: &mut Kernel,
         objects: &ObjectStore,
-    ) -> SimResult<usize> {
-        let next = FrameworkState::InType(t);
-        if next == self.current {
-            return Ok(0);
+    ) -> Option<Transition> {
+        let track = self.threads.get_mut(&thread)?;
+        let to = FrameworkState::InType(t);
+        if track.current == to {
+            return None;
         }
-        let prev = self.current;
-        self.current = next;
+        let from = std::mem::replace(&mut track.current, to);
         self.transitions += 1;
+        let mut tr = Transition {
+            from,
+            to,
+            locked: Vec::new(),
+            released: 0,
+            unlocked: Vec::new(),
+        };
         if !self.enabled {
-            self.timeline.push((kernel.now_ns(), next, 0));
-            return Ok(0);
+            return Some(tr);
         }
-        // Lock everything defined during the state we just left — only
-        // that state's index set is walked, not every tracked object.
-        let mut newly = 0;
-        let ids: Vec<ObjectId> = self
-            .by_state
-            .get(&prev)
-            .map(|set| {
-                set.iter()
-                    .filter(|id| !self.protected.contains(id))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        for id in ids {
-            if Self::lock_object(kernel, objects, id)? {
-                self.protected.insert(id);
-                newly += 1;
+        let payload = |m: &ObjectMeta| m.buffer.is_some() || m.shm.is_some();
+        for (&id, held) in track.by_state.get_mut(&from).into_iter().flatten() {
+            if *held || !objects.meta(id).is_some_and(payload) {
+                continue;
+            }
+            *held = true;
+            let first = self.shared.get_mut(&id).is_none_or(|lockers| {
+                lockers.insert(thread);
+                lockers.len() == 1
+            });
+            self.locked += u64::from(first);
+            tr.locked.push(id);
+        }
+        for (&id, held) in track.by_state.get_mut(&to).into_iter().flatten() {
+            if !std::mem::take(held) {
+                continue;
+            }
+            tr.released += 1;
+            let last = self.shared.get_mut(&id).is_none_or(|lockers| {
+                lockers.remove(&thread);
+                lockers.is_empty()
+            });
+            if last {
+                self.locked -= 1;
+                tr.unlocked.push(id);
             }
         }
-        // Unlock objects owned by the state we are re-entering.
-        let reentered: Vec<ObjectId> = self
-            .by_state
-            .get(&next)
-            .map(|set| {
-                set.iter()
-                    .filter(|id| self.protected.contains(id))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        for id in reentered {
-            Self::unlock_object(kernel, objects, id)?;
-            self.protected.remove(&id);
+        Some(tr)
+    }
+
+    /// Appends `tr` to `thread`'s Fig. 3 timeline, stamped `at_ns`.
+    fn stamp(&mut self, thread: ThreadId, at_ns: u64, tr: &Transition) {
+        if let Some(track) = self.threads.get_mut(&thread) {
+            track.timeline.push((at_ns, tr.to, tr.locked.len()));
         }
-        self.timeline.push((kernel.now_ns(), next, newly));
-        Ok(newly)
     }
 
-    /// The Fig. 3 timeline: `(virtual ns, state entered, objects newly
-    /// locked)` per transition.
-    pub fn timeline(&self) -> &[(u64, FrameworkState, usize)] {
-        &self.timeline
+    /// How many threads hold a lock on `id`: its lock count.
+    pub fn locks(&self, id: ObjectId) -> usize {
+        match self.owner(id) {
+            Some(Owner::Thread(t)) => usize::from(self.threads[&t].holds(id)),
+            Some(Owner::Shared) => self.shared[&id].len(),
+            None => 0,
+        }
     }
 
-    fn lock_object(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId) -> SimResult<bool> {
-        let Some(meta) = objects.meta(id) else {
-            return Ok(false);
+    /// Distinct objects currently locked.
+    pub(crate) fn locked_objects(&self) -> u64 {
+        self.locked
+    }
+
+    /// State transitions taken, summed over threads.
+    pub(crate) fn transitions(&self) -> u64 {
+        self.transitions
+    }
+
+    /// `thread`'s Fig. 3 timeline: `(virtual ns, state entered, objects
+    /// newly locked)` per transition.
+    pub(crate) fn timeline(&self, thread: ThreadId) -> &[(u64, FrameworkState, usize)] {
+        self.threads.get(&thread).map_or(&[], |t| &t.timeline)
+    }
+
+    /// Indexes `id` as segment-backed (its payload was promoted).
+    pub fn note_segment(&mut self, id: ObjectId) {
+        let owner = self.owner(id);
+        self.segments.entry(owner).or_default().insert(id);
+    }
+
+    /// Segment-backed objects, ascending: every one, or (`Some(thread)`)
+    /// only those `thread` tracks — O(1) in the number of other threads.
+    pub fn segments(&self, thread: Option<ThreadId>) -> Vec<ObjectId> {
+        let mut ids: Vec<ObjectId> = match thread {
+            None => self.segments.values().flatten().copied().collect(),
+            Some(t) => [Owner::Thread(t), Owner::Shared]
+                .iter()
+                .filter_map(|owner| self.segments.get(&Some(*owner)))
+                .flatten()
+                .copied()
+                .collect(),
         };
-        // Shm-resident payloads are locked by downgrading every live
-        // grant to read-only — the segment itself is kernel-owned, so
-        // this works even while several processes hold mapped views.
-        if let Some((seg, _)) = meta.shm {
-            kernel.shm_protect_all(seg, Perms::R)?;
-            return Ok(true);
-        }
-        let Some((addr, len)) = meta.buffer else {
-            return Ok(false);
-        };
-        if !kernel.is_running(meta.home) {
-            return Ok(false);
-        }
-        // Differential re-protection: skip the kernel call (and its cost)
-        // entirely when every page is already read-only — e.g. a second
-        // thread's state machine locking shared host data another thread
-        // already locked, or a no-op transition delta.
-        if !kernel.perms_match(meta.home, addr, len, Perms::R) {
-            kernel.protect(meta.home, addr, len, Perms::R)?;
-        }
-        Ok(true)
+        ids.sort_unstable();
+        ids
     }
 
-    fn unlock_object(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId) -> SimResult<()> {
-        let Some(meta) = objects.meta(id) else {
-            return Ok(());
-        };
-        if let Some((seg, _)) = meta.shm {
-            kernel.shm_protect_all(seg, Perms::RW)?;
-            return Ok(());
-        }
-        let Some((addr, len)) = meta.buffer else {
-            return Ok(());
-        };
-        if !kernel.is_running(meta.home) {
-            return Ok(());
-        }
-        if !kernel.perms_match(meta.home, addr, len, Perms::RW) {
-            kernel.protect(meta.home, addr, len, Perms::RW)?;
-        }
-        Ok(())
-    }
-
-    /// Re-applies protection to one object (after the runtime migrated
-    /// its payload to a new process, which re-materializes it writable).
-    pub fn reapply(
-        &self,
-        kernel: &mut Kernel,
-        objects: &ObjectStore,
-        id: ObjectId,
-    ) -> SimResult<()> {
-        if self.is_protected(id) {
-            Self::lock_object(kernel, objects, id)?;
-        }
-        Ok(())
-    }
-
-    /// Forgets an object (destroyed).
+    /// Forgets `id` everywhere: its definitions, locks and segment entry.
     pub fn forget(&mut self, id: ObjectId) {
-        if let Some(state) = self.defined_in.remove(&id) {
-            if let Some(set) = self.by_state.get_mut(&state) {
-                set.remove(&id);
-            }
+        self.locked -= u64::from(self.locks(id) > 0);
+        self.shared.remove(&id);
+        let owner = self.owners.remove(&id);
+        if let Some(ids) = self.segments.get_mut(&owner) {
+            ids.remove(&id);
         }
-        self.protected.remove(&id);
+        let tracks: Vec<&mut ThreadTrack> = match owner {
+            Some(Owner::Thread(t)) => self.threads.get_mut(&t).into_iter().collect(),
+            Some(Owner::Shared) => self.threads.values_mut().collect(),
+            None => Vec::new(),
+        };
+        for ids in tracks.into_iter().flat_map(|t| t.by_state.values_mut()) {
+            ids.remove(&id);
+        }
+    }
+}
+
+/// Observes an API of type `t` on `thread`: records the plane's
+/// decisions, applies them, and stamps the Fig. 3 timeline with the
+/// virtual time the protection storm finished.
+pub fn observe(
+    plane: &mut TemporalPlane,
+    thread: ThreadId,
+    t: ApiType,
+    kernel: &mut Kernel,
+    objects: &ObjectStore,
+) -> Option<Transition> {
+    let tr = plane.transition(thread, t, objects)?;
+    for &id in &tr.locked {
+        set_perms(kernel, objects, id, Perms::R);
+    }
+    for &id in &tr.unlocked {
+        set_perms(kernel, objects, id, Perms::RW);
+    }
+    plane.stamp(thread, kernel.now_ns(), &tr);
+    Some(tr)
+}
+
+/// Re-locks `id` if any thread holds a lock on it — after a move or a
+/// restore re-materialized its payload writable. Returns the
+/// lowest-numbered lock holder; `None` (and no kernel call) when
+/// nothing holds one.
+pub fn reapply(
+    plane: &TemporalPlane,
+    kernel: &mut Kernel,
+    objects: &ObjectStore,
+    id: ObjectId,
+) -> Option<ThreadId> {
+    let holder = match plane.owner(id)? {
+        Owner::Thread(t) => plane.threads[&t].holds(id).then_some(t),
+        Owner::Shared => plane.shared[&id].first().copied(),
+    }?;
+    set_perms(kernel, objects, id, Perms::R);
+    Some(holder)
+}
+
+fn set_perms(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId, perms: Perms) {
+    let Some(meta) = objects.meta(id) else {
+        return;
+    };
+    if let Some((seg, _)) = meta.shm {
+        // Shm-resident payloads change every live grant at once — the
+        // segment is kernel-owned, so this works even while several
+        // processes hold mapped views.
+        kernel.shm_protect_all(seg, perms).ok();
+    } else if let Some((addr, len)) = meta.buffer {
+        // A dead home has no pages to change; the decision stands for
+        // the restored copy. Differential re-protection skips the call
+        // (and its cost) when every page is already at `perms` — e.g. a
+        // second thread locking host data another thread already locked.
+        if kernel.is_running(meta.home) && !kernel.perms_match(meta.home, addr, len, perms) {
+            kernel.protect(meta.home, addr, len, perms).ok();
+        }
     }
 }
 
@@ -246,107 +381,103 @@ impl StateMachine {
 mod tests {
     use super::*;
     use freepart_frameworks::ObjectKind;
-    use freepart_simos::SimError;
+    use freepart_simos::{FaultKind, Pid, SimError};
 
-    fn setup() -> (Kernel, ObjectStore, freepart_simos::Pid) {
+    const MAIN: ThreadId = ThreadId::MAIN;
+
+    fn setup(enabled: bool) -> (Kernel, ObjectStore, Pid, TemporalPlane) {
         let mut k = Kernel::new();
         let pid = k.spawn("host");
-        (k, ObjectStore::new(), pid)
+        (k, ObjectStore::new(), pid, TemporalPlane::new(enabled))
+    }
+
+    fn blob(k: &mut Kernel, store: &mut ObjectStore, pid: Pid, len: usize) -> ObjectId {
+        let data = vec![7; len];
+        store
+            .create_with_data(k, pid, ObjectKind::Blob, "x", &data)
+            .unwrap()
+    }
+
+    /// Objects newly locked by MAIN's transition to `t`.
+    fn step(plane: &mut TemporalPlane, t: ApiType, k: &mut Kernel, store: &ObjectStore) -> usize {
+        observe(plane, MAIN, t, k, store).map_or(0, |tr| tr.locked.len())
     }
 
     #[test]
     fn transition_protects_previous_state_objects() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(true);
-        let template = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "template", &[1; 64])
-            .unwrap();
-        sm.define(template);
-        // Initialization → Loading: template (defined in Initialization)
-        // becomes read-only.
-        let n = sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
-        assert_eq!(n, 1);
-        assert!(sm.is_protected(template));
-        let meta = store.meta(template).unwrap();
-        let err = k.mem_write(pid, meta.buffer.unwrap().0, &[9]).unwrap_err();
+        let (mut k, mut store, pid, mut plane) = setup(true);
+        let template = blob(&mut k, &mut store, pid, 64);
+        plane.define(MAIN, template);
+        // Initialization → Loading: template becomes read-only.
+        assert_eq!(step(&mut plane, ApiType::DataLoading, &mut k, &store), 1);
+        assert_eq!(plane.locks(template), 1);
+        let addr = store.meta(template).unwrap().buffer.unwrap().0;
+        let err = k.mem_write(pid, addr, &[9]).unwrap_err();
         assert!(matches!(err, SimError::Fault(_)));
     }
 
     #[test]
     fn same_state_calls_do_not_transition() {
-        let (mut k, store, _) = setup();
-        let mut sm = StateMachine::new(true);
-        sm.observe(ApiType::DataProcessing, &mut k, &store).unwrap();
-        sm.observe(ApiType::DataProcessing, &mut k, &store).unwrap();
-        assert_eq!(sm.transitions, 1);
-        assert_eq!(
-            sm.current(),
-            FrameworkState::InType(ApiType::DataProcessing)
-        );
+        let (mut k, store, _, mut plane) = setup(true);
+        step(&mut plane, ApiType::DataProcessing, &mut k, &store);
+        step(&mut plane, ApiType::DataProcessing, &mut k, &store);
+        assert_eq!(plane.transitions(), 1);
+        let processing = FrameworkState::InType(ApiType::DataProcessing);
+        assert_eq!(plane.state_of(MAIN), processing);
     }
 
     #[test]
     fn pipeline_progression_locks_stage_by_stage() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(true);
-        sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
-        let loaded = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "input", &[2; 32])
-            .unwrap();
-        sm.define(loaded);
-        // Loading → Processing: `input` locks.
-        let n = sm.observe(ApiType::DataProcessing, &mut k, &store).unwrap();
-        assert_eq!(n, 1);
-        let processed = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "result", &[3; 32])
-            .unwrap();
-        sm.define(processed);
-        assert!(!sm.is_protected(processed), "current-state object writable");
-        // Processing → Visualizing: `result` locks too.
-        let n = sm.observe(ApiType::Visualizing, &mut k, &store).unwrap();
-        assert_eq!(n, 1);
-        assert!(sm.is_protected(processed));
+        let (mut k, mut store, pid, mut plane) = setup(true);
+        step(&mut plane, ApiType::DataLoading, &mut k, &store);
+        let loaded = blob(&mut k, &mut store, pid, 32);
+        plane.define(MAIN, loaded);
+        // Loading → Processing: `loaded` locks.
+        assert_eq!(step(&mut plane, ApiType::DataProcessing, &mut k, &store), 1);
+        let processed = blob(&mut k, &mut store, pid, 32);
+        plane.define(MAIN, processed);
+        assert_eq!(plane.locks(processed), 0, "current-state object writable");
+        // Processing → Visualizing: `processed` locks too.
+        assert_eq!(step(&mut plane, ApiType::Visualizing, &mut k, &store), 1);
+        assert_eq!(plane.locks(processed), 1);
     }
 
     #[test]
     fn disabled_machine_tracks_but_never_locks() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(false);
-        let obj = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "x", &[0; 8])
-            .unwrap();
-        sm.define(obj);
-        let n = sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
-        assert_eq!(n, 0);
-        assert!(!sm.is_protected(obj));
-        assert_eq!(sm.transitions, 1, "state still tracked");
+        let (mut k, mut store, pid, mut plane) = setup(false);
+        let obj = blob(&mut k, &mut store, pid, 8);
+        plane.define(MAIN, obj);
+        assert_eq!(step(&mut plane, ApiType::DataLoading, &mut k, &store), 0);
+        assert_eq!(plane.locks(obj), 0);
+        assert_eq!(plane.transitions(), 1, "state still tracked");
     }
 
     #[test]
     fn dead_home_processes_are_skipped() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(true);
-        let obj = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "x", &[0; 8])
-            .unwrap();
-        sm.define(obj);
-        k.deliver_fault(pid, freepart_simos::FaultKind::Abort, None);
-        let n = sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
-        assert_eq!(n, 0, "cannot protect memory of a dead process");
+        let (mut k, mut store, pid, mut plane) = setup(true);
+        let obj = blob(&mut k, &mut store, pid, 8);
+        plane.define(MAIN, obj);
+        k.deliver_fault(pid, FaultKind::Abort, None);
+        let (pages, ns) = (k.metrics().protected_pages, k.now_ns());
+        assert_eq!(step(&mut plane, ApiType::DataLoading, &mut k, &store), 1);
+        assert_eq!(
+            k.metrics().protected_pages,
+            pages,
+            "no protect reaches a dead pid"
+        );
+        assert_eq!(k.now_ns(), ns, "no kernel time charged");
+        assert_eq!(plane.locks(obj), 1, "the lock stands for a restored copy");
     }
 
     #[test]
     fn shm_resident_objects_lock_via_grant_downgrade() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(true);
-        let obj = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "frame", &[7; 4096])
-            .unwrap();
+        let (mut k, mut store, pid, mut plane) = setup(true);
+        let obj = blob(&mut k, &mut store, pid, 4096);
         let seg = store.promote_to_shm(&mut k, obj).unwrap().unwrap();
-        sm.define(obj);
-        let n = sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
+        plane.define(MAIN, obj);
+        let n = step(&mut plane, ApiType::DataLoading, &mut k, &store);
         assert_eq!(n, 1, "shm residency must not evade temporal locking");
-        assert!(sm.is_protected(obj));
+        assert_eq!(plane.locks(obj), 1);
         // The downgraded grant still reads, but a write now faults.
         assert!(k.shm_read(pid, seg).is_ok());
         assert!(k.shm_write(pid, seg, &[1; 4096]).is_err());
@@ -354,16 +485,21 @@ mod tests {
 
     #[test]
     fn forget_unprotects_tracking() {
-        let (mut k, mut store, pid) = setup();
-        let mut sm = StateMachine::new(true);
-        let obj = store
-            .create_with_data(&mut k, pid, ObjectKind::Blob, "x", &[0; 8])
-            .unwrap();
-        sm.define(obj);
-        sm.observe(ApiType::DataLoading, &mut k, &store).unwrap();
-        assert!(sm.is_protected(obj));
-        sm.forget(obj);
-        assert!(!sm.is_protected(obj));
-        assert!(sm.defined_state(obj).is_none());
+        let (mut k, mut store, pid, mut plane) = setup(true);
+        step(&mut plane, ApiType::DataLoading, &mut k, &store);
+        let obj = blob(&mut k, &mut store, pid, 8);
+        plane.define(MAIN, obj);
+        step(&mut plane, ApiType::DataProcessing, &mut k, &store);
+        assert_eq!((plane.locks(obj), plane.locked_objects()), (1, 1));
+        plane.forget(obj);
+        assert_eq!((plane.locks(obj), plane.locked_objects()), (0, 0));
+        assert!(plane.owner(obj).is_none());
+        // The definition itself is gone: re-entering its state releases
+        // nothing, and leaving it again locks nothing.
+        for t in [ApiType::DataLoading, ApiType::DataProcessing] {
+            let tr = observe(&mut plane, MAIN, t, &mut k, &store).unwrap();
+            assert_eq!((tr.locked.len(), tr.released, tr.unlocked.len()), (0, 0, 0));
+        }
+        assert_eq!(plane.locks(obj), 0);
     }
 }

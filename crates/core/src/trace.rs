@@ -413,7 +413,7 @@ pub enum AuditRecord {
     StateTransition {
         /// Virtual time of the transition.
         at_ns: u64,
-        /// The thread whose state machine moved.
+        /// The thread whose framework state moved.
         thread: ThreadId,
         /// The logical call that triggered it.
         seq: u64,

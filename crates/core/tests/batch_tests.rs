@@ -5,7 +5,9 @@
 //! charges pages whose permissions actually change — while post-restart
 //! restores still get the full (non-differential) re-protection.
 
-use freepart::{AuditRecord, FlushReason, Policy, Runtime, SpanPhase, StateMachine, ThreadId};
+use freepart::{
+    state, AuditRecord, FlushReason, Policy, Runtime, SpanPhase, TemporalPlane, ThreadId,
+};
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
@@ -228,28 +230,34 @@ fn protect_charges_only_changed_pages() {
 
 #[test]
 fn noop_transition_issues_zero_mprotects() {
-    // Two state machines (two application threads) sharing one object:
-    // the second machine's lock finds every page already read-only and
-    // must not issue a single mprotect — while still accounting the
-    // object as protected.
+    // Two application threads sharing one object: the second thread's
+    // lock finds every page already read-only and must not issue a
+    // single mprotect — while still accounting the object as locked.
     let mut k = Kernel::new();
     let pid = k.spawn("host");
     let mut store = ObjectStore::new();
     let obj = store
         .create_with_data(&mut k, pid, ObjectKind::Blob, "cfg", &[1u8; 64])
         .unwrap();
-    let mut a = StateMachine::new(true);
-    let mut b = StateMachine::new(true);
-    a.define(obj);
-    b.define(obj);
+    let mut plane = TemporalPlane::new(true);
+    let b = plane.add_thread();
+    plane.share(obj);
 
-    assert_eq!(a.observe(ApiType::DataLoading, &mut k, &store).unwrap(), 1);
+    let main = state::observe(
+        &mut plane,
+        ThreadId::MAIN,
+        ApiType::DataLoading,
+        &mut k,
+        &store,
+    );
+    assert_eq!(main.unwrap().locked.len(), 1);
     let pages = k.metrics().protected_pages;
     assert!(pages > 0, "the first lock really protected pages");
     let ns = k.clock().now_ns();
 
-    assert_eq!(b.observe(ApiType::DataLoading, &mut k, &store).unwrap(), 1);
-    assert!(b.is_protected(obj), "the object still counts as locked");
+    let second = state::observe(&mut plane, b, ApiType::DataLoading, &mut k, &store);
+    assert_eq!(second.unwrap().locked.len(), 1);
+    assert_eq!(plane.locks(obj), 2, "the object still counts as locked");
     assert_eq!(k.metrics().protected_pages, pages, "zero mprotects issued");
     assert_eq!(k.clock().now_ns(), ns, "zero virtual time charged");
 }

@@ -1,12 +1,13 @@
 //! Regression tests for the exactly-once replay path, post-restart
 //! re-protection, and the deduplicated protected-object gauge.
 
-use freepart::{Policy, Runtime};
+use freepart::{CallError, FrameworkState, Policy, Runtime};
+use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, Value};
 use freepart_simos::device::Camera;
-use freepart_simos::{FaultKind, SimError};
+use freepart_simos::{FaultKind, Perms, SimError};
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     let img = Image::new(16, 16, 3);
@@ -116,6 +117,56 @@ fn restart_reapplies_protection_to_restored_snapshots() {
         "restored snapshot must still be read-only"
     );
     assert!(rt.is_protected(clf_id));
+}
+
+#[test]
+fn transition_while_the_home_is_dead_locks_the_restored_copy() {
+    // The Loading → Processing transition is taken while the classifier's
+    // home agent is dead. No page can be protected then, but the lock
+    // must still be recorded, so the snapshot restored by the restart
+    // comes back read-only.
+    let mut rt = Runtime::install(
+        standard_registry(),
+        Policy {
+            snapshot_interval: 1,
+            ..Policy::freepart()
+        },
+    );
+    seed_image(&mut rt, "/in.simg");
+    rt.kernel.fs.put("/c.xml", vec![5; 64]);
+    let clf = rt
+        .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
+        .unwrap();
+    let clf_id = clf.as_obj().unwrap();
+    let img = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
+    let img_id = img.as_obj().unwrap();
+    let loading = rt.partition_of(rt.registry().id_of("cv2.CascadeClassifier.load").unwrap());
+    let pid = rt.agent(loading).unwrap().pid;
+    rt.kernel.deliver_fault(pid, FaultKind::Abort, None);
+    // The blur's input died with the agent, but the state still moves.
+    assert!(matches!(
+        rt.call("cv2.GaussianBlur", &[img]),
+        Err(CallError::StateLost(_))
+    ));
+    assert_eq!(
+        rt.current_state(),
+        FrameworkState::InType(ApiType::DataProcessing)
+    );
+    rt.restart_agent(loading);
+
+    let meta = rt.objects.meta(clf_id).unwrap();
+    let (addr, len) = meta.buffer.expect("snapshot restored the payload");
+    assert!(
+        rt.kernel.perms_match(meta.home, addr, len, Perms::R),
+        "restored classifier must be read-only"
+    );
+    assert!(rt.is_protected(clf_id));
+    // The image had no snapshot, so the restart cannot bring it back. It
+    // keeps the lock recorded for it while its home was dead, as an
+    // object locked before the crash would: both objects count.
+    assert!(rt.objects.meta(img_id).is_some_and(|m| m.home == pid));
+    assert!(rt.is_protected(img_id));
+    assert_eq!(rt.stats().protected_objects, 2);
 }
 
 #[test]

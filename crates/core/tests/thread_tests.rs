@@ -6,6 +6,7 @@ use freepart::{Policy, Runtime, ThreadId};
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
+use freepart_simos::Perms;
 
 fn seed(rt: &mut Runtime, path: &str, payload: Option<&ExploitPayload>) {
     let img = Image::new(16, 16, 3);
@@ -109,4 +110,30 @@ fn objects_flow_between_threads_via_ldc() {
     let img = rt.call("cv2.imread", &[Value::from("/a.simg")]).unwrap();
     let out = rt.call_on(t1, "cv2.GaussianBlur", &[img]).unwrap();
     assert!(matches!(out, Value::Obj(_)));
+}
+
+#[test]
+fn shared_data_stays_locked_while_another_thread_holds_it() {
+    // Host data annotated mid-pipeline is defined in Processing for the
+    // main thread and in Initialization for t1. t1 leaving
+    // Initialization locks it; the main thread re-entering Processing
+    // releases only its own lock, so the pages must stay read-only.
+    let mut rt = Runtime::install(standard_registry(), Policy::freepart());
+    let t1 = rt.spawn_thread();
+    seed(&mut rt, "/a.simg", None);
+    let img = rt.call("cv2.imread", &[Value::from("/a.simg")]).unwrap();
+    let blur = rt.call("cv2.GaussianBlur", &[img]).unwrap();
+    let cfg = rt.host_data("cfg", &[7u8; 64]);
+    rt.call_on(t1, "cv2.imread", &[Value::from("/a.simg")])
+        .unwrap();
+    rt.call("cv2.imshow", &[Value::from("w"), blur.clone()])
+        .unwrap();
+    rt.call("cv2.GaussianBlur", &[blur]).unwrap();
+    assert!(rt.is_protected(cfg));
+    let (addr, len) = rt.objects.meta(cfg).unwrap().buffer.unwrap();
+    let host = rt.host_pid();
+    assert!(
+        rt.kernel.perms_match(host, addr, len, Perms::R),
+        "t1 still holds a lock on the shared data"
+    );
 }
