@@ -48,7 +48,7 @@ fn steer(rt: &mut Runtime, speed: ObjectId, h: CallHandle, result: &mut DroneRes
 /// Flies the drone mission with pipelined asynchronous calls. Same
 /// inputs, same commands, same attack outcomes as [`crate::drone::run`]
 /// under FreePart — read the pipelined makespan off
-/// [`freepart_simos::Kernel::makespan_ns`].
+/// [`freepart_simos::KernelState::makespan_ns`].
 pub fn run_drone_pipelined(rt: &mut Runtime, cfg: &DroneConfig) -> DroneResult {
     if rt.kernel.camera.is_none() {
         // Logged attach, as in the sync mission: a recorded run replays.

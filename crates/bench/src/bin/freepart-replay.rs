@@ -32,7 +32,7 @@ use freepart_bench::{workspace_root, Table};
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step;
 use freepart_simos::replay::{audit, replay};
-use freepart_simos::{CommitLog, Effects, FaultKind, KernelState};
+use freepart_simos::{CommitLog, FaultKind, KernelState};
 
 /// One recorded-and-replayed attack scenario.
 struct Scenario {
@@ -59,14 +59,12 @@ struct Scenario {
 /// Raw pure-`step` throughput: folds the recorded log through a fresh
 /// [`KernelState`] `iters` times and reports (total steps, steps/sec).
 fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
-    let mut fx = Effects::new();
     let mut total: u64 = 0;
     let start = std::time::Instant::now();
     for _ in 0..iters {
         let mut state = KernelState::with_cost_model(log.genesis().clone());
         for rec in log.records() {
-            fx.clear();
-            let _ = step(&mut state, rec.op.clone(), &mut fx);
+            let _ = step(&mut state, &rec.op);
             total += 1;
         }
         std::hint::black_box(state.digest());

@@ -281,18 +281,13 @@ impl Runtime {
     /// keep working (submit + immediate wait) and sync-only runs are
     /// unaffected — this only changes how *overlapping* calls are
     /// accounted. Host activity outside calls charges the host's
-    /// timeline; read the result off [`Kernel::makespan_ns`].
+    /// timeline; read the result off [`KernelState::makespan_ns`].
     ///
-    /// [`Kernel::makespan_ns`]: freepart_simos::Kernel::makespan_ns
+    /// [`KernelState::makespan_ns`]: freepart_simos::KernelState::makespan_ns
     pub fn enable_pipelining(&mut self) {
         self.pipelining = true;
         self.kernel.enable_per_process_time();
         self.kernel.set_time_context(Some(self.host));
-    }
-
-    /// Whether per-process timelines are active.
-    pub fn pipelining_enabled(&self) -> bool {
-        self.pipelining
     }
 
     /// Bounds how many calls may be in flight per partition (min 1);

@@ -659,11 +659,6 @@ impl Runtime {
         self.tracer.enable();
     }
 
-    /// Whether tracing is recording.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// The tracer: spans, marks, audit log, and the per-partition /
     /// per-API metrics registry.
     pub fn tracer(&self) -> &Tracer {

@@ -71,8 +71,6 @@ pub(super) struct Ticket {
     tenant: TenantId,
     api: ApiId,
     args: Vec<Value>,
-    /// The pool partition the call is bound for.
-    pool: PartitionId,
     /// Items already queued for this tenant at submission (backlog
     /// position — feeds the starvation bound).
     own_ahead: usize,
@@ -197,7 +195,6 @@ impl Runtime {
             tenant,
             api,
             args: args.to_vec(),
-            pool,
             own_ahead,
             enqueue_ns,
             pool_served_at: p.sched.served(pool.0),
@@ -394,12 +391,6 @@ impl Runtime {
     pub fn ticket_fairness(&self, handle: TenantHandle) -> Option<(u64, usize)> {
         let t = self.ticket(handle)?;
         Some((t.foreign_served?, t.own_ahead))
-    }
-
-    /// The pool partition a ticket was queued on (fairness bounds are
-    /// per-pool: only same-pool service counts as foreign).
-    pub fn ticket_pool(&self, handle: TenantHandle) -> Option<PartitionId> {
-        self.ticket(handle).map(|t| t.pool)
     }
 
     fn ticket(&self, handle: TenantHandle) -> Option<&Ticket> {

@@ -153,12 +153,6 @@ pub fn scan_payload(bytes: &[u8]) -> Option<ExploitPayload> {
     ExploitPayload::from_wire_bytes(wire)
 }
 
-/// Appends an `EVIL` trailer to arbitrary bytes (crafting non-image
-/// malicious inputs).
-pub fn attach_payload(bytes: &mut Vec<u8>, payload: &ExploitPayload) {
-    append_trailer(bytes, Some(payload));
-}
-
 /// Encodes a numeric table as CSV text.
 pub fn encode_csv(rows: &[Vec<f64>]) -> Vec<u8> {
     let mut out = String::new();

@@ -9,12 +9,13 @@
 //! applied. Pure reads record nothing; a read that faults surfaces as the
 //! [`CommitOp::DeliverFault`] transition it really is.
 //!
-//! The log is the ground truth for [`replay`](crate::replay): folding the
-//! ops through the pure [`step`](crate::core::step) over a fresh
-//! [`KernelState`](crate::KernelState) built from the same [`CostModel`]
-//! must reproduce every outcome summary and every digest, bit for bit. It
-//! is also the substrate for whole-trace invariant auditing and forensic
-//! walks — see [`crate::replay`] and the `freepart-core` forensics layer.
+//! The log is the ground truth for [`replay`](mod@crate::replay):
+//! folding the ops through the pure [`step`](fn@crate::core::step) over
+//! a fresh [`KernelState`](crate::KernelState) built from the same
+//! [`CostModel`] must reproduce every outcome summary and every digest,
+//! bit for bit. It is also the substrate for whole-trace invariant
+//! auditing and forensic walks — see [`crate::replay`](mod@crate::replay)
+//! and the `freepart-core` forensics layer.
 //!
 //! [`Kernel::enable_commit_log`]: crate::Kernel::enable_commit_log
 //! [`CostModel`]: crate::CostModel
@@ -25,7 +26,7 @@ use crate::ipc::ChannelId;
 use crate::mem::{Addr, Perms};
 use crate::process::Pid;
 use crate::shm::ShmId;
-use crate::syscall::{Syscall, SyscallRet};
+use crate::syscall::Syscall;
 use crate::{SyscallFilter, WindowId};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -265,129 +266,21 @@ impl CommitOutcome {
     }
 }
 
-/// Types that can summarize themselves into a commit-outcome word.
-///
-/// Summaries of plain identifiers are transparent (the id itself), so the
-/// invariant auditor can read grant/page arithmetic straight off the log;
-/// structured values hash.
-pub trait OpSummary {
-    /// The `u64` summary recorded in the log.
-    fn summary(&self) -> u64;
-}
-
-impl OpSummary for () {
-    fn summary(&self) -> u64 {
-        0
-    }
-}
-
-impl OpSummary for u64 {
-    fn summary(&self) -> u64 {
-        *self
-    }
-}
-
-impl OpSummary for bool {
-    fn summary(&self) -> u64 {
-        u64::from(*self)
-    }
-}
-
-impl OpSummary for Pid {
-    fn summary(&self) -> u64 {
-        u64::from(self.0)
-    }
-}
-
-impl OpSummary for Addr {
-    fn summary(&self) -> u64 {
-        self.0
-    }
-}
-
-impl OpSummary for ShmId {
-    fn summary(&self) -> u64 {
-        self.0
-    }
-}
-
-impl OpSummary for ChannelId {
-    fn summary(&self) -> u64 {
-        u64::from(self.0)
-    }
-}
-
-impl OpSummary for WindowId {
-    fn summary(&self) -> u64 {
-        u64::from(self.0)
-    }
-}
-
-impl OpSummary for Fault {
-    fn summary(&self) -> u64 {
-        hash_str(&format!("{self:?}"))
-    }
-}
-
-impl OpSummary for Vec<u8> {
-    fn summary(&self) -> u64 {
-        hash_bytes(self)
-    }
-}
-
-impl OpSummary for Option<Vec<u8>> {
-    fn summary(&self) -> u64 {
-        match self {
-            None => 0,
-            Some(b) => mix(1, hash_bytes(b)),
-        }
-    }
-}
-
-impl OpSummary for Option<Pid> {
-    fn summary(&self) -> u64 {
-        match self {
-            None => 0,
-            Some(p) => mix(1, u64::from(p.0)),
-        }
-    }
-}
-
-impl OpSummary for Option<u8> {
-    fn summary(&self) -> u64 {
-        match self {
-            None => 0,
-            Some(k) => mix(1, u64::from(*k)),
-        }
-    }
-}
-
-impl OpSummary for SyscallRet {
-    fn summary(&self) -> u64 {
-        match self {
-            SyscallRet::Ok => 1,
-            SyscallRet::NewFd(fd) => mix(2, u64::from(fd.0)),
-            SyscallRet::Bytes(b) => mix(3, hash_bytes(b)),
-            SyscallRet::Num(n) => mix(4, *n),
-            SyscallRet::Mapped(a) => mix(5, a.0),
-        }
-    }
-}
-
 /// Summary of a kernel error (hash of its debug rendering — errors carry
 /// structure but never kernel state, so the rendering is stable).
 pub fn err_summary(e: &SimError) -> u64 {
     hash_str(&format!("{e:?}"))
 }
 
-/// Summarizes a kernel result into a [`CommitOutcome`] — the single
-/// function both the recorder and the replayer use, so their summaries
-/// cannot drift apart.
-pub fn outcome_of<T: OpSummary>(r: &Result<T, SimError>) -> CommitOutcome {
-    match r {
-        Ok(v) => CommitOutcome::Ok(v.summary()),
-        Err(e) => CommitOutcome::Err(err_summary(e)),
-    }
+/// Summary of a fault, hashed the same way as an error.
+pub(crate) fn fault_summary(f: &Fault) -> u64 {
+    hash_str(&format!("{f:?}"))
+}
+
+/// Summary of an optional word: 0 for `None`, the word tagged with 1
+/// otherwise, so `Some(0)` and `None` stay apart.
+pub(crate) fn some_summary(v: Option<u64>) -> u64 {
+    v.map_or(0, |w| mix(1, w))
 }
 
 /// One appended transition: the op, its outcome summary, and the kernel
@@ -466,6 +359,8 @@ impl CommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::{outcome_of_step, StepResult, StepValue};
+    use crate::syscall::SyscallRet;
 
     #[test]
     fn mix_and_fold_are_order_sensitive() {
@@ -483,13 +378,13 @@ mod tests {
 
     #[test]
     fn outcome_summaries_distinguish_results() {
-        let ok: Result<u64, SimError> = Ok(7);
-        let err: Result<u64, SimError> = Err(SimError::BadChannel);
-        assert_eq!(outcome_of(&ok), CommitOutcome::Ok(7));
-        assert!(!outcome_of(&err).is_ok());
+        let ok: StepResult = Ok(StepValue::Num(7));
+        let err: StepResult = Err(SimError::BadChannel);
+        assert_eq!(outcome_of_step(&ok), CommitOutcome::Ok(7));
+        assert!(!outcome_of_step(&err).is_ok());
         assert_ne!(
-            SyscallRet::Num(3).summary(),
-            SyscallRet::NewFd(crate::Fd(3)).summary()
+            outcome_of_step(&Ok(StepValue::Ret(SyscallRet::Num(3)))),
+            outcome_of_step(&Ok(StepValue::Ret(SyscallRet::NewFd(crate::Fd(3)))))
         );
     }
 

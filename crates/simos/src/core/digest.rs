@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::commit::{self, CommitOp, OpSummary};
+use crate::commit::{self, CommitOp};
 use crate::cost::VirtualClock;
 use crate::filter::SyscallFilter;
 use crate::ipc::{ChannelId, RingChannel};
@@ -105,7 +105,7 @@ fn proc_fp(pid: Pid, p: &SimProcess, [name, filter, fds]: [u64; 3]) -> u64 {
     let (state, detail) = match &p.state {
         ProcessState::Running => (1, 0),
         ProcessState::Exited(code) => (2, *code as u64),
-        ProcessState::Crashed(f) => (3, f.summary()),
+        ProcessState::Crashed(f) => (3, commit::fault_summary(f)),
     };
     let filter_state = p
         .filter
@@ -394,7 +394,7 @@ impl KernelState {
         for v in [
             self.clock.now_ns(),
             mode,
-            self.time_ctx.summary(),
+            commit::some_summary(self.time_ctx.map(|p| u64::from(p.0))),
             self.metrics.fingerprint(),
             u64::from(self.next_pid),
             u64::from(self.next_channel),

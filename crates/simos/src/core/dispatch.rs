@@ -2,7 +2,7 @@
 //!
 //! Split out of [`step`](crate::core::step::step) so each core module
 //! stays within the line budget the purity guard enforces. Everything
-//! here obeys the same rules as `step` itself: state in, effects out,
+//! here obeys the same rules as `step` itself: state in, result out,
 //! no I/O, no ambient clock, no external entropy (the `Getrandom`
 //! syscall draws from the deterministic [`EntropyStream`] seeded at
 //! kernel construction).
@@ -16,17 +16,11 @@ use crate::mem::Perms;
 use crate::process::{FdTarget, Pid, ProcessState};
 use crate::syscall::{Syscall, SyscallRet};
 
-use super::effects::{Counter, Effects};
 use super::state::KernelState;
 use super::step::crash;
 
 /// Executes one already-filter-checked syscall body for `pid`.
-pub(super) fn dispatch(
-    state: &mut KernelState,
-    fx: &mut Effects,
-    pid: Pid,
-    call: Syscall,
-) -> SimResult<SyscallRet> {
+pub(super) fn dispatch(state: &mut KernelState, pid: Pid, call: Syscall) -> SimResult<SyscallRet> {
     use Syscall as S;
     match call {
         // ---------------- file I/O ----------------
@@ -57,7 +51,7 @@ pub(super) fn dispatch(
                 FdTarget::File { path, offset } => {
                     let bytes = state.fs.read_at(&path, offset, len)?;
                     let ns = state.cost.file_cost(bytes.len() as u64);
-                    state.charge_to(fx, pid, ns);
+                    state.charge_to(pid, ns);
                     if let Some(FdTarget::File { offset, .. }) =
                         state.process_mut(pid)?.fd_table.get_mut(&fd)
                     {
@@ -72,7 +66,7 @@ pub(super) fn dispatch(
                         .map(|c| c.capture())
                         .ok_or(Errno::Enosys)?;
                     let ns = state.cost.file_cost(frame.len() as u64);
-                    state.charge_to(fx, pid, ns);
+                    state.charge_to(pid, ns);
                     Ok(SyscallRet::Bytes(frame))
                 }
                 _ => Err(Errno::Enosys.into()),
@@ -88,7 +82,7 @@ pub(super) fn dispatch(
                 FdTarget::File { path, offset } => {
                     let n = state.fs.write_at(&path, offset, &bytes)?;
                     let ns = state.cost.file_cost(n);
-                    state.charge_to(fx, pid, ns);
+                    state.charge_to(pid, ns);
                     if let Some(FdTarget::File { offset, .. }) =
                         state.process_mut(pid)?.fd_table.get_mut(&fd)
                     {
@@ -97,7 +91,7 @@ pub(super) fn dispatch(
                     Ok(SyscallRet::Num(n))
                 }
                 FdTarget::Socket { dest } => {
-                    net_send(state, fx, pid, &dest, &bytes);
+                    net_send(state, pid, &dest, &bytes);
                     Ok(SyscallRet::Num(bytes.len() as u64))
                 }
                 FdTarget::Device(DeviceKind::GuiSocket) => {
@@ -183,8 +177,8 @@ pub(super) fn dispatch(
                 Ok(changed) => {
                     if changed > 0 {
                         let ns = state.cost.mprotect_cost(changed);
-                        state.charge_to(fx, pid, ns);
-                        state.bump(fx, Counter::ProtectedPages, changed);
+                        state.charge_to(pid, ns);
+                        state.metrics.protected_pages += changed;
                     }
                     Ok(SyscallRet::Num(changed))
                 }
@@ -197,7 +191,7 @@ pub(super) fn dispatch(
             // Semantically a no-op in the cooperative simulation; the
             // call exists so fork-bomb payloads hit the filter.
             let ns = state.cost.spawn_ns;
-            state.charge_to(fx, pid, ns);
+            state.charge_to(pid, ns);
             Ok(SyscallRet::Num(0))
         }
         S::Execve { .. } => Ok(SyscallRet::Ok),
@@ -206,7 +200,7 @@ pub(super) fn dispatch(
             Ok(SyscallRet::Ok)
         }
         S::Kill { target_pid } => {
-            crash(state, fx, Pid(target_pid), FaultKind::Abort, None);
+            crash(state, Pid(target_pid), FaultKind::Abort, None);
             Ok(SyscallRet::Ok)
         }
         S::Getpid => Ok(SyscallRet::Num(pid.0 as u64)),
@@ -215,7 +209,7 @@ pub(super) fn dispatch(
         S::Uname => Ok(SyscallRet::Bytes(b"simos 1.0".to_vec())),
         S::SchedYield => Ok(SyscallRet::Ok),
         S::Nanosleep { ns } => {
-            state.charge_to(fx, pid, ns);
+            state.charge_to(pid, ns);
             Ok(SyscallRet::Ok)
         }
         S::PrctlNoNewPrivs => {
@@ -276,12 +270,12 @@ pub(super) fn dispatch(
                 Some(_) => return Err(Errno::Enosys.into()),
                 None => return Err(Errno::Ebadf.into()),
             };
-            net_send(state, fx, pid, &dest, &bytes);
+            net_send(state, pid, &dest, &bytes);
             Ok(SyscallRet::Num(bytes.len() as u64))
         }
         S::Sendto { fd, dest, bytes } => {
             state.process(pid)?.fd_target(fd).ok_or(Errno::Ebadf)?;
-            net_send(state, fx, pid, &dest, &bytes);
+            net_send(state, pid, &dest, &bytes);
             Ok(SyscallRet::Num(bytes.len() as u64))
         }
         S::Recvfrom { fd, len } => {
@@ -310,15 +304,9 @@ pub(super) fn dispatch(
 
 /// Sends `bytes` to `dest` on the simulated network: charges the copy,
 /// counts GUI blits, and records egress for the exfiltration oracle.
-pub(super) fn net_send(
-    state: &mut KernelState,
-    fx: &mut Effects,
-    pid: Pid,
-    dest: &str,
-    bytes: &[u8],
-) {
+fn net_send(state: &mut KernelState, pid: Pid, dest: &str, bytes: &[u8]) {
     let ns = state.cost.copy_cost(bytes.len() as u64);
-    state.charge_to(fx, pid, ns);
+    state.charge_to(pid, ns);
     if dest.starts_with("gui") {
         state.display.blitted_bytes += bytes.len() as u64;
     }

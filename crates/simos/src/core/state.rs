@@ -23,7 +23,6 @@ use crate::shm::{ShmId, ShmSegment};
 use crate::Metrics;
 
 use super::digest::EntitySums;
-use super::effects::{Counter, Effect, Effects};
 
 /// How virtual time flows through the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,41 +173,27 @@ impl KernelState {
     }
 
     // ------------------------------------------------------------------
-    // Charging and counting (effect-emitting helpers for `step`)
+    // Charging (helpers for `step`)
     // ------------------------------------------------------------------
 
     /// Charges `ns` to `pid`'s timeline (per-process mode) or the global
-    /// clock, describing the charge as an [`Effect::Charge`]. Every cost
-    /// with a known acting process routes through here.
-    pub(crate) fn charge_to(&mut self, fx: &mut Effects, pid: Pid, ns: u64) {
+    /// clock. Every cost with a known acting process routes through here.
+    pub(crate) fn charge_to(&mut self, pid: Pid, ns: u64) {
         match self.mode {
             TimelineMode::Global => self.clock.charge(ns),
             TimelineMode::PerProcess => self.timelines.entry(pid).or_default().charge(ns),
         }
-        fx.push(Effect::Charge { pid: Some(pid), ns });
     }
 
     /// Charges `ns` to the current time context (per-process mode) or
     /// the global clock, for costs with no obvious acting process.
-    pub(crate) fn charge_ctx(&mut self, fx: &mut Effects, ns: u64) {
-        let pid = match (self.mode, self.time_ctx) {
+    pub(crate) fn charge_ctx(&mut self, ns: u64) {
+        match (self.mode, self.time_ctx) {
             (TimelineMode::PerProcess, Some(pid)) => {
                 self.timelines.entry(pid).or_default().charge(ns);
-                Some(pid)
             }
-            _ => {
-                self.clock.charge(ns);
-                None
-            }
-        };
-        fx.push(Effect::Charge { pid, ns });
-    }
-
-    /// Moves a metrics counter by `delta`, describing the movement as an
-    /// [`Effect::Metric`].
-    pub(crate) fn bump(&mut self, fx: &mut Effects, counter: Counter, delta: u64) {
-        counter.apply(&mut self.metrics, delta);
-        fx.push(Effect::Metric { counter, delta });
+            _ => self.clock.charge(ns),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -257,11 +242,6 @@ impl KernelState {
             TimelineMode::Global => self.clock.now_ns(),
             TimelineMode::PerProcess => self.timelines.get(&pid).map_or(0, |c| c.now_ns()),
         }
-    }
-
-    /// The timeline mode in force.
-    pub fn timeline_mode(&self) -> TimelineMode {
-        self.mode
     }
 
     /// End-to-end virtual duration of the run: the global clock under

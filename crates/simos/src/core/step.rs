@@ -1,14 +1,14 @@
 //! The single total transition function of the kernel state machine.
 //!
-//! [`step`] takes a [`KernelState`], one [`CommitOp`], and an
-//! [`Effects`] buffer, applies the transition, and returns the typed
-//! result. Every kernel behavior — process lifecycle, memory
+//! [`step`] takes a [`KernelState`] and one [`CommitOp`], applies the
+//! transition, and returns the typed result; the result is its only
+//! output. Every kernel behavior — process lifecycle, memory
 //! protection, shared memory, filters, syscall dispatch, IPC, virtual
 //! time — lives behind this one function; the shell
 //! ([`Kernel`](crate::Kernel)) merely translates its public entry
-//! points into ops and interprets the emitted effects, and
-//! [`replay`](crate::replay::replay) is literally a fold of `step` over
-//! a log.
+//! points into ops and records each step, and
+//! [`replay`](fn@crate::replay::replay) is literally a fold of `step`
+//! over a log.
 //!
 //! `step` is total over its input vocabulary: it never panics on any
 //! op/state combination (failures are values — [`SimError`]s or
@@ -16,7 +16,9 @@
 //! draws no external entropy. In debug builds every transition is
 //! followed by [`KernelState::check_invariants`].
 
-use crate::commit::{err_summary, CommitOp, CommitOutcome, OpSummary};
+use crate::commit::{
+    err_summary, fault_summary, hash_bytes, mix, some_summary, CommitOp, CommitOutcome,
+};
 use crate::cost::VirtualClock;
 use crate::device::{Camera, WindowId};
 use crate::error::{Errno, Fault, FaultKind, SimError};
@@ -29,13 +31,10 @@ use crate::syscall::SyscallRet;
 
 use super::digest::Footprint;
 use super::dispatch::dispatch;
-use super::effects::{Counter, Effect, Effects};
 use super::state::{KernelState, TimelineMode};
 
 /// The typed value a successful transition produces — one variant per
-/// return shape of the shell's public entry points. Its [`OpSummary`]
-/// impl delegates to the inner value's, so outcome summaries are
-/// bit-identical with what the imperative kernel recorded.
+/// return shape of the shell's public entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepValue {
     /// No interesting value (summary 0).
@@ -66,58 +65,58 @@ pub enum StepValue {
     Ret(SyscallRet),
 }
 
-impl OpSummary for StepValue {
-    fn summary(&self) -> u64 {
-        match self {
-            StepValue::Unit => ().summary(),
-            StepValue::Num(n) => n.summary(),
-            StepValue::Proc(pid) => pid.summary(),
-            StepValue::ProcOpt(pid) => pid.summary(),
-            StepValue::Addr(a) => a.summary(),
-            StepValue::Flag(b) => b.summary(),
-            StepValue::Seg(id) => id.summary(),
-            StepValue::Chan(id) => id.summary(),
-            StepValue::PayloadOpt(b) => b.summary(),
-            StepValue::KeyOpt(k) => k.summary(),
-            StepValue::Win(id) => id.summary(),
-            StepValue::Crash(f) => f.summary(),
-            StepValue::Ret(r) => r.summary(),
-        }
-    }
-}
-
 /// What one [`step`] produced: a typed value or a typed error.
 pub type StepResult = Result<StepValue, SimError>;
 
-/// The commit-log outcome summary of a [`StepResult`] — the same
-/// summarization path the recorder uses, so core and shell cannot
-/// drift.
+/// The commit-log outcome summary of a [`StepResult`]: the one
+/// summarization path the recorder and replay share.
+///
+/// Plain identifiers and numbers summarize to themselves, so
+/// [`audit`](crate::replay::audit) can read page counts and
+/// [`forensic_chain`](crate::replay::forensic_chain) minted ids straight
+/// off the log; optional values tag the present arm; structured values
+/// hash.
 pub fn outcome_of_step(r: &StepResult) -> CommitOutcome {
-    match r {
-        Ok(v) => CommitOutcome::Ok(v.summary()),
-        Err(e) => CommitOutcome::Err(err_summary(e)),
-    }
+    let v = match r {
+        Ok(v) => v,
+        Err(e) => return CommitOutcome::Err(err_summary(e)),
+    };
+    CommitOutcome::Ok(match v {
+        StepValue::Unit => 0,
+        StepValue::Num(n) => *n,
+        StepValue::Proc(pid) => u64::from(pid.0),
+        StepValue::ProcOpt(pid) => some_summary(pid.map(|p| u64::from(p.0))),
+        StepValue::Addr(a) => a.0,
+        StepValue::Flag(b) => u64::from(*b),
+        StepValue::Seg(id) => id.0,
+        StepValue::Chan(id) => u64::from(id.0),
+        StepValue::PayloadOpt(b) => some_summary(b.as_deref().map(hash_bytes)),
+        StepValue::KeyOpt(k) => some_summary(k.map(u64::from)),
+        StepValue::Win(id) => u64::from(id.0),
+        StepValue::Crash(f) => fault_summary(f),
+        StepValue::Ret(SyscallRet::Ok) => 1,
+        StepValue::Ret(SyscallRet::NewFd(fd)) => mix(2, u64::from(fd.0)),
+        StepValue::Ret(SyscallRet::Bytes(b)) => mix(3, hash_bytes(b)),
+        StepValue::Ret(SyscallRet::Num(n)) => mix(4, *n),
+        StepValue::Ret(SyscallRet::Mapped(a)) => mix(5, a.0),
+    })
 }
 
-/// Applies one transition to `state`, pushing every observable
-/// consequence into `fx` (ending with exactly one [`Effect::Record`])
-/// and returning the typed result.
+/// Applies one transition to `state` and returns the typed result.
 ///
 /// The digest's multiset hashes are kept current here, around the
 /// transition: the entries named by the op's footprint are retired
 /// before it and admitted after it (see `core/digest.rs`), so the live
 /// recorder and replay share one upkeep path.
-pub fn step(state: &mut KernelState, op: CommitOp, fx: &mut Effects) -> StepResult {
-    let footprint = Footprint::of(state, &op);
+pub fn step(state: &mut KernelState, op: &CommitOp) -> StepResult {
+    let footprint = Footprint::of(state, op);
     if let Some(f) = &footprint {
-        f.retire(state, &op);
+        f.retire(state, op);
     }
-    let r = apply(state, &op, fx);
+    let r = apply(state, op);
     if let Some(f) = &footprint {
-        f.admit(state, &op);
+        f.admit(state, op);
     }
-    let outcome = outcome_of_step(&r);
-    fx.push(Effect::Record { op, outcome });
     #[cfg(debug_assertions)]
     state.check_invariants();
     r
@@ -130,7 +129,6 @@ pub fn step(state: &mut KernelState, op: CommitOp, fx: &mut Effects) -> StepResu
 /// and stay part of that op's single record.
 pub(super) fn crash(
     state: &mut KernelState,
-    fx: &mut Effects,
     pid: Pid,
     kind: FaultKind,
     addr: Option<Addr>,
@@ -139,15 +137,14 @@ pub(super) fn crash(
     if let Some(p) = state.procs.get_mut(&pid) {
         if p.is_running() {
             p.state = ProcessState::Crashed(fault.clone());
-            state.bump(fx, Counter::Faults, 1);
-            fx.push(Effect::Fault(fault.clone()));
+            state.metrics.faults += 1;
         }
     }
     fault
 }
 
 #[allow(clippy::too_many_lines)]
-fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult {
+fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
     use CommitOp as O;
     match op {
         // ---------------- process lifecycle ----------------
@@ -156,7 +153,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             state.next_pid += 1;
             state.procs.insert(pid, SimProcess::new(pid, name));
             let ns = state.cost.spawn_ns;
-            state.charge_ctx(fx, ns);
+            state.charge_ctx(ns);
             if state.mode == TimelineMode::PerProcess {
                 // The child exists once the spawner has paid the spawn
                 // cost: its timeline starts at the spawner's current time.
@@ -168,16 +165,12 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 c.charge(birth);
                 state.timelines.insert(pid, c);
             }
-            state.bump(fx, Counter::Spawns, 1);
+            state.metrics.spawns += 1;
             Ok(StepValue::Proc(pid))
         }
-        O::DeliverFault { pid, kind, addr } => Ok(StepValue::Crash(crash(
-            state,
-            fx,
-            *pid,
-            kind.clone(),
-            *addr,
-        ))),
+        O::DeliverFault { pid, kind, addr } => {
+            Ok(StepValue::Crash(crash(state, *pid, kind.clone(), *addr)))
+        }
         O::Reap { pid } => {
             let pid = *pid;
             let p = state.procs.get(&pid).ok_or(SimError::NoSuchProcess(pid))?;
@@ -189,7 +182,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             for seg in state.shm.values_mut() {
                 seg.purge(pid);
             }
-            state.bump(fx, Counter::Reaps, 1);
+            state.metrics.reaps += 1;
             Ok(StepValue::Num(pages))
         }
         O::ForceExit { pid, code } => {
@@ -223,7 +216,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let p = state.procs.get_mut(&pid).expect("checked");
             match p.aspace.write(addr, bytes) {
                 Ok(()) => Ok(StepValue::Unit),
-                Err(kind) => Err(crash(state, fx, pid, kind, Some(addr)).into()),
+                Err(kind) => Err(crash(state, pid, kind, Some(addr)).into()),
             }
         }
         O::Protect {
@@ -239,8 +232,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 Ok(changed) => {
                     if changed > 0 {
                         let ns = state.cost.mprotect_cost(changed);
-                        state.charge_to(fx, pid, ns);
-                        state.bump(fx, Counter::ProtectedPages, changed);
+                        state.charge_to(pid, ns);
+                        state.metrics.protected_pages += changed;
                     }
                     Ok(StepValue::Num(changed))
                 }
@@ -260,9 +253,9 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             seg.mapped.insert(owner);
             state.shm.insert(id, seg);
             let ns = state.cost.syscall_ns + state.cost.shm_map_cost(len);
-            state.charge_to(fx, owner, ns);
-            state.bump(fx, Counter::ShmGrants, 1);
-            state.bump(fx, Counter::ShmMappedBytes, len);
+            state.charge_to(owner, ns);
+            state.metrics.shm_grants += 1;
+            state.metrics.shm_mapped_bytes += len;
             Ok(StepValue::Seg(id))
         }
         O::ShmGrant { id, pid, perms } => {
@@ -271,8 +264,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let seg = state.shm.get_mut(id).ok_or(SimError::Errno(Errno::Ebadf))?;
             seg.grants.insert(pid, *perms);
             let ns = state.cost.syscall_ns;
-            state.charge_to(fx, pid, ns);
-            state.bump(fx, Counter::ShmGrants, 1);
+            state.charge_to(pid, ns);
+            state.metrics.shm_grants += 1;
             Ok(StepValue::Unit)
         }
         O::ShmMap { pid, id } => {
@@ -285,11 +278,11 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let len = seg.len();
             if seg.mapped.insert(pid) {
                 let ns = state.cost.syscall_ns + state.cost.shm_map_cost(len);
-                state.charge_to(fx, pid, ns);
-                state.bump(fx, Counter::ShmMappedBytes, len);
+                state.charge_to(pid, ns);
+                state.metrics.shm_mapped_bytes += len;
             } else {
                 let ns = state.cost.syscall_ns;
-                state.charge_to(fx, pid, ns);
+                state.charge_to(pid, ns);
             }
             Ok(StepValue::Num(len))
         }
@@ -300,8 +293,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             if existed {
                 let pages = seg.len().div_ceil(PAGE_SIZE).max(1);
                 let ns = state.cost.mprotect_cost(pages);
-                state.charge_ctx(fx, ns);
-                state.bump(fx, Counter::ShmRevokes, 1);
+                state.charge_ctx(ns);
+                state.metrics.shm_revokes += 1;
             }
             Ok(StepValue::Flag(existed))
         }
@@ -317,8 +310,8 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             }
             if changed > 0 {
                 let ns = state.cost.mprotect_cost(changed);
-                state.charge_ctx(fx, ns);
-                state.bump(fx, Counter::ProtectedPages, changed);
+                state.charge_ctx(ns);
+                state.metrics.protected_pages += changed;
             }
             Ok(StepValue::Num(changed))
         }
@@ -326,11 +319,11 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
             let pid = *pid;
             state.require_running(pid)?;
             let Some(seg) = state.shm.get(id) else {
-                return Err(crash(state, fx, pid, FaultKind::Unmapped, None).into());
+                return Err(crash(state, pid, FaultKind::Unmapped, None).into());
             };
             let ok = seg.is_mapped(pid) && seg.grant_of(pid).is_some_and(|p| p.writable());
             if !ok {
-                return Err(crash(state, fx, pid, FaultKind::Protection, None).into());
+                return Err(crash(state, pid, FaultKind::Protection, None).into());
             }
             let seg = state.shm.get_mut(id).expect("checked");
             seg.replace_data(bytes);
@@ -361,24 +354,14 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 .as_ref()
                 .map_or(FilterDecision::Allow, |f| f.evaluate(call));
             if decision == FilterDecision::Kill {
-                state.bump(fx, Counter::FilterKills, 1);
-                fx.push(Effect::FilterKill {
-                    pid,
-                    denied: call.number(),
-                });
-                let fault = crash(
-                    state,
-                    fx,
-                    pid,
-                    FaultKind::SyscallDenied(call.number()),
-                    None,
-                );
-                return Err(fault.into());
+                state.metrics.filter_kills += 1;
+                let kind = FaultKind::SyscallDenied(call.number());
+                return Err(crash(state, pid, kind, None).into());
             }
             let ns = state.cost.syscall_ns;
-            state.charge_to(fx, pid, ns);
-            state.bump(fx, Counter::Syscalls, 1);
-            dispatch(state, fx, pid, call.clone()).map(StepValue::Ret)
+            state.charge_to(pid, ns);
+            state.metrics.syscalls += 1;
+            dispatch(state, pid, call.clone()).map(StepValue::Ret)
         }
 
         // ---------------- IPC ----------------
@@ -408,10 +391,10 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                     RingError::Full => SimError::Errno(Errno::Enospc),
                     RingError::NotEndpoint => SimError::BadChannel,
                 })?;
-            state.charge_to(fx, pid, latency);
-            state.charge_to(fx, pid, copy);
-            state.bump(fx, Counter::IpcMessages, 1);
-            state.bump(fx, Counter::IpcBytes, payload.len() as u64);
+            state.charge_to(pid, latency);
+            state.charge_to(pid, copy);
+            state.metrics.ipc_messages += 1;
+            state.metrics.ipc_bytes += payload.len() as u64;
             Ok(StepValue::Unit)
         }
         O::IpcRecv { pid, chan } => {
@@ -426,10 +409,10 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                         if frame.send_ns > t.now_ns() {
                             let delta = frame.send_ns - t.now_ns();
                             t.charge(delta);
-                            state.bump(fx, Counter::TimelineMerges, 1);
+                            state.metrics.timeline_merges += 1;
                         }
                     }
-                    state.charge_to(fx, pid, latency);
+                    state.charge_to(pid, latency);
                     Ok(StepValue::PayloadOpt(Some(frame.payload.to_vec())))
                 }
                 Ok(None) => Ok(StepValue::PayloadOpt(None)),
@@ -444,34 +427,34 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
 
         // ---------------- accounting ----------------
         O::ChargeTime { ns } => {
-            state.charge_ctx(fx, *ns);
+            state.charge_ctx(*ns);
             Ok(StepValue::Unit)
         }
         O::ChargeCopy { bytes } => {
             let ns = state.cost.copy_cost(*bytes);
-            state.charge_ctx(fx, ns);
-            state.bump(fx, Counter::CopiedBytes, *bytes);
-            state.bump(fx, Counter::CopyOps, 1);
+            state.charge_ctx(ns);
+            state.metrics.copied_bytes += *bytes;
+            state.metrics.copy_ops += 1;
             Ok(StepValue::Unit)
         }
         O::ChargeCompute { pid, units } => {
             let ns = state.cost.compute_cost(*units);
-            state.charge_to(fx, *pid, ns);
+            state.charge_to(*pid, ns);
             if let Some(p) = state.procs.get_mut(pid) {
                 p.cpu_ns += ns;
             }
             Ok(StepValue::Unit)
         }
         O::NoteCallsBatched { n } => {
-            state.bump(fx, Counter::CallsBatched, *n);
+            state.metrics.calls_batched += *n;
             Ok(StepValue::Unit)
         }
         O::NoteSnapshotCopy { bytes } => {
-            state.bump(fx, Counter::SnapshotBytesCopied, *bytes);
+            state.metrics.snapshot_bytes_copied += *bytes;
             Ok(StepValue::Unit)
         }
         O::NoteSnapshotSkip => {
-            state.bump(fx, Counter::SnapshotObjectsSkipped, 1);
+            state.metrics.snapshot_objects_skipped += 1;
             Ok(StepValue::Unit)
         }
         O::ResetAccounting => {
@@ -507,7 +490,7 @@ fn apply(state: &mut KernelState, op: &CommitOp, fx: &mut Effects) -> StepResult
                 if *ns > t.now_ns() {
                     let delta = *ns - t.now_ns();
                     t.charge(delta);
-                    state.bump(fx, Counter::TimelineMerges, 1);
+                    state.metrics.timeline_merges += 1;
                 }
             }
             Ok(StepValue::Unit)

@@ -144,11 +144,6 @@ impl SyscallFilter {
         self.allowed.contains(&no)
     }
 
-    /// The allowlisted syscall numbers, sorted.
-    pub fn allowed_numbers(&self) -> impl Iterator<Item = SyscallNo> + '_ {
-        self.allowed.iter().copied()
-    }
-
     /// Fingerprint of the rule set — allowlist and fd-argument rules, not
     /// the lock bit. The kernel computes it once per install (an
     /// installed filter's rules never change) and caches it for the

@@ -27,17 +27,16 @@
 //! `Kernel` is a *shell*: the state machine itself lives in
 //! [`crate::core`]. Every mutating entry point below builds a
 //! [`CommitOp`] and folds it through the single pure transition
-//! function [`step`](crate::core::step) — there is no second
+//! function [`step`](fn@crate::core::step) — there is no second
 //! implementation of any kernel behavior here. The shell's only jobs
 //! are translating typed arguments to ops (and [`StepValue`]s back to
-//! typed returns), appending each step's record to the commit log when
-//! recording, and exposing the pure reads of the underlying
-//! [`KernelState`] via `Deref`.
+//! typed returns), writing one commit record per step when recording,
+//! and exposing the pure reads of the underlying [`KernelState`] via
+//! `Deref`.
 
 use crate::commit::{CommitLog, CommitOp};
-use crate::core::effects::Effects;
 use crate::core::state::KernelState;
-use crate::core::step::{step, StepResult, StepValue};
+use crate::core::step::{outcome_of_step, step, StepResult, StepValue};
 use crate::cost::CostModel;
 use crate::device::WindowId;
 use crate::error::{Fault, FaultKind, SimResult};
@@ -50,8 +49,8 @@ use crate::syscall::{Syscall, SyscallRet};
 
 pub use crate::core::state::TimelineMode;
 
-/// The simulated operating system kernel: a thin, effects-interpreting
-/// shell around the pure [`KernelState`] + [`step`] core.
+/// The simulated operating system kernel: a thin, recording shell
+/// around the pure [`KernelState`] + [`step`] core.
 ///
 /// See the [module docs](self) for the design; see the crate docs for a
 /// usage example. Pure reads ([`KernelState::metrics`],
@@ -62,8 +61,6 @@ pub struct Kernel {
     state: KernelState,
     /// The flight recorder, when enabled (see [`Kernel::enable_commit_log`]).
     commit: Option<CommitLog>,
-    /// Reusable effects buffer for the last step (cleared per step).
-    fx: Effects,
 }
 
 impl Default for Kernel {
@@ -102,7 +99,6 @@ impl Kernel {
         Kernel {
             state,
             commit: None,
-            fx: Effects::new(),
         }
     }
 
@@ -112,18 +108,13 @@ impl Kernel {
         &self.state
     }
 
-    /// Runs one op through the pure core, then interprets the effects:
-    /// the trailing [`Record`](crate::core::Effect::Record) goes to the
-    /// commit log (with a post-state digest) when recording.
+    /// Runs one op through the pure core and, when recording, writes
+    /// its one commit record: the op, its outcome summary, and the
+    /// post-step digest. A non-recording kernel computes neither.
     fn do_step(&mut self, op: CommitOp) -> StepResult {
-        self.fx.clear();
-        let r = step(&mut self.state, op, &mut self.fx);
-        let (op, outcome) = self.fx.pop_record().expect("step always records");
-        if self.commit.is_some() {
-            let digest = self.state.digest();
-            if let Some(log) = self.commit.as_mut() {
-                log.push(op, outcome, digest);
-            }
+        let r = step(&mut self.state, &op);
+        if let Some(log) = self.commit.as_mut() {
+            log.push(op, outcome_of_step(&r), self.state.digest());
         }
         r
     }
@@ -134,13 +125,6 @@ impl Kernel {
     /// to re-execute logged ops without caring which arm they are.
     pub fn apply(&mut self, op: CommitOp) -> StepResult {
         self.do_step(op)
-    }
-
-    /// The effects emitted by the most recent mutating entry point
-    /// (minus the commit record, which the shell consumes): time
-    /// charges, metrics deltas, faults, filter kills, in emission order.
-    pub fn last_effects(&self) -> &Effects {
-        &self.fx
     }
 
     // ------------------------------------------------------------------
@@ -173,11 +157,6 @@ impl Kernel {
     /// True when the flight recorder is on.
     pub fn recording(&self) -> bool {
         self.commit.is_some()
-    }
-
-    /// The commit log so far, if recording.
-    pub fn commit_log(&self) -> Option<&CommitLog> {
-        self.commit.as_ref()
     }
 
     /// Number of records committed so far (0 when not recording). Used

@@ -40,13 +40,13 @@
 //!
 //! The kernel is a pure state machine. [`core::KernelState`] owns every
 //! piece of kernel state as plain data, and a single total function
-//! [`core::step`] performs every transition, describing its observable
-//! consequences as [`core::Effect`]s instead of performing them.
-//! [`Kernel`] is a thin shell over that core: it translates ~40 public
-//! entry points into [`CommitOp`]s, folds them through `step`, and
-//! interprets the effects (commit-log recording, in particular).
-//! [`replay`] is the same fold without a shell — which is why replay
-//! cannot drift from live execution.
+//! [`core::step`](fn@core::step) performs every transition and returns
+//! its result — nothing else comes out of it. [`Kernel`] is a thin shell
+//! over that core: it translates ~40 public entry points into
+//! [`CommitOp`]s, folds them through `step`, and, when recording, writes
+//! one commit record per step from the op, the outcome summary and the
+//! post-step digest. [`replay`](mod@replay) is the same fold without a
+//! shell — which is why replay cannot drift from live execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +68,7 @@ pub mod sched;
 pub mod shm;
 pub mod syscall;
 
-pub use crate::core::{Counter, Effect, Effects, KernelState, StepValue};
+pub use crate::core::{KernelState, StepValue};
 pub use commit::{CommitLog, CommitOp, CommitOutcome, CommitRecord};
 pub use cost::{CostModel, VirtualClock};
 pub use device::{Camera, DeviceKind, Display, NetworkLog, WindowId};

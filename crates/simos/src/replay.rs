@@ -1,13 +1,13 @@
 //! Deterministic replay of a [`CommitLog`] and replay-time invariant
 //! auditing.
 //!
-//! [`replay`] rebuilds a kernel from nothing but a log: a fresh
-//! [`KernelState`] is constructed from the log's genesis
+//! [`replay`](fn@replay) rebuilds a kernel from nothing but a log: a
+//! fresh [`KernelState`] is constructed from the log's genesis
 //! [`CostModel`](crate::CostModel),
 //! and the log is **folded through the same pure
-//! [`step`](crate::core::step) function live execution uses** — replay
-//! has no interpretation logic of its own, so it cannot drift from the
-//! kernel. After each step both the outcome summary and the
+//! [`step`](fn@crate::core::step) function live execution uses** —
+//! replay has no interpretation logic of its own, so it cannot drift
+//! from the kernel. After each step both the outcome summary and the
 //! [state digest](KernelState::digest) are compared against what the
 //! recorder wrote. Any mismatch is a [`Divergence`] — either the replayed
 //! operation returned something different ([`DivergenceKind::Outcome`])
@@ -30,7 +30,6 @@
 use std::collections::BTreeSet;
 
 use crate::commit::{CommitLog, CommitOp, CommitOutcome};
-use crate::core::effects::Effects;
 use crate::core::state::KernelState;
 use crate::core::step::{outcome_of_step, step};
 use crate::ipc::ChannelId;
@@ -89,17 +88,15 @@ pub fn apply_op(k: &mut Kernel, op: &CommitOp) -> CommitOutcome {
     outcome_of_step(&k.apply(op.clone()))
 }
 
-/// Replays `log` by folding the pure [`step`](crate::core::step) over a
-/// fresh [`KernelState`], asserting digest-identical state at every
-/// record. Returns the rebuilt kernel (useful for re-deriving
+/// Replays `log` by folding the pure [`step`](fn@crate::core::step)
+/// over a fresh [`KernelState`], asserting digest-identical state at
+/// every record. Returns the rebuilt kernel (useful for re-deriving
 /// end-of-run verdicts) and the divergence report.
 pub fn replay(log: &CommitLog) -> (Kernel, ReplayReport) {
     let mut state = KernelState::with_cost_model(log.genesis().clone());
-    let mut fx = Effects::new();
     let mut report = ReplayReport::default();
     for rec in log.records() {
-        fx.clear();
-        let got = outcome_of_step(&step(&mut state, rec.op.clone(), &mut fx));
+        let got = outcome_of_step(&step(&mut state, &rec.op));
         report.steps += 1;
         if got != rec.outcome {
             report.divergences.push(Divergence {
@@ -164,14 +161,12 @@ pub fn audit(log: &CommitLog) -> Vec<InvariantViolation> {
     let mut dead: BTreeSet<Pid> = BTreeSet::new();
     let mut grants: BTreeSet<(u64, u32)> = BTreeSet::new();
     let mut shadow = KernelState::with_cost_model(log.genesis().clone());
-    let mut fx = Effects::new();
     let mut expected_pages: u64 = 0;
 
     for rec in log.records() {
         let ok = rec.outcome.is_ok();
         let pages_before = shadow.metrics().protected_pages;
-        fx.clear();
-        let _ = step(&mut shadow, rec.op.clone(), &mut fx);
+        let _ = step(&mut shadow, &rec.op);
         let pages_after = shadow.metrics().protected_pages;
         match &rec.op {
             O::SetNoNewPrivs { pid } if ok => {

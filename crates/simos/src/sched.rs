@@ -150,18 +150,6 @@ impl DrrScheduler {
             .map_or(0, |q| q.items.len())
     }
 
-    /// Total items queued on `pool` across tenants.
-    pub fn pool_len(&self, pool: PoolId) -> usize {
-        self.pools
-            .get(&pool)
-            .map_or(0, |p| p.tenants.values().map(|q| q.items.len()).sum())
-    }
-
-    /// Tenants currently holding queued work on `pool`.
-    pub fn active_tenants(&self, pool: PoolId) -> usize {
-        self.pools.get(&pool).map_or(0, |p| p.ring.len())
-    }
-
     /// Items dequeued from `pool` so far (the pool's fairness clock).
     pub fn served(&self, pool: PoolId) -> u64 {
         self.pools.get(&pool).map_or(0, |p| p.served)

@@ -35,7 +35,7 @@ fn core_sources() -> Vec<(PathBuf, String)> {
     }
     assert!(
         out.len() >= 4,
-        "expected the core modules (mod, state, step, effects, dispatch), found {}",
+        "expected the core modules (mod, state, step, dispatch, digest), found {}",
         out.len()
     );
     out

@@ -5,8 +5,8 @@
 use freepart_simos::core::{outcome_of_step, step};
 use freepart_simos::replay::{audit, forensic_chain, replay, DivergenceKind};
 use freepart_simos::{
-    CommitLog, CommitOp, CommitOutcome, Effects, FaultKind, Fd, Kernel, KernelState, Perms, Pid,
-    ShmId, Syscall, SyscallFilter, SyscallNo,
+    CommitLog, CommitOp, CommitOutcome, FaultKind, Fd, Kernel, KernelState, Perms, Pid, ShmId,
+    Syscall, SyscallFilter, SyscallNo,
 };
 use proptest::prelude::*;
 
@@ -317,10 +317,8 @@ proptest! {
     fn shell_and_pure_core_agree_step_for_step(steps in proptest::collection::vec(arb_step(), 1..60)) {
         let log = record(&steps);
         let mut state = KernelState::with_cost_model(log.genesis().clone());
-        let mut fx = Effects::new();
         for rec in log.records() {
-            fx.clear();
-            let got = outcome_of_step(&step(&mut state, rec.op.clone(), &mut fx));
+            let got = outcome_of_step(&step(&mut state, &rec.op));
             prop_assert_eq!(got, rec.outcome, "outcome drift at index {}", rec.index);
             prop_assert_eq!(state.digest(), rec.digest, "digest drift at index {}", rec.index);
         }
@@ -333,10 +331,8 @@ proptest! {
     fn incremental_digest_equals_from_scratch_reference(steps in proptest::collection::vec(arb_step(), 1..80)) {
         let log = record(&steps);
         let mut state = KernelState::with_cost_model(log.genesis().clone());
-        let mut fx = Effects::new();
         for rec in log.records() {
-            fx.clear();
-            let _ = step(&mut state, rec.op.clone(), &mut fx);
+            let _ = step(&mut state, &rec.op);
             prop_assert_eq!(
                 state.digest(),
                 state.reference_digest(),
