@@ -494,15 +494,16 @@ mod tests {
         let reg = standard_registry();
         let app = resolve(by_id(8).unwrap(), &reg);
         let mut rt = Runtime::install(standard_registry(), Policy::freepart());
+        rt.enable_tracing();
         let report = run_app(&app, &reg, &mut rt, &RunOptions::default()).unwrap();
-        // Count calls by type from the runtime's call log.
+        // Count completed calls by type from the tracer's registry.
         let mut by_type: BTreeMap<ApiType, (std::collections::BTreeSet<ApiId>, u32)> =
             BTreeMap::new();
-        for &api in rt.call_log() {
+        for (&(_, api), stats) in rt.tracer().stats().iter().filter(|(_, s)| s.calls > 0) {
             let t = reg.spec(api).declared_type;
             let e = by_type.entry(t).or_default();
             e.0.insert(api);
-            e.1 += 1;
+            e.1 += stats.calls as u32;
         }
         let spec = app.spec;
         assert_eq!(by_type[&ApiType::DataLoading].1, spec.loading.1);

@@ -64,14 +64,6 @@ impl MonolithicRuntime {
 }
 
 impl ApiSurface for MonolithicRuntime {
-    fn scheme_name(&self) -> &'static str {
-        if self.readonly_critical {
-            "Memory-based"
-        } else {
-            "Original (no isolation)"
-        }
-    }
-
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
         let api = self
             .reg

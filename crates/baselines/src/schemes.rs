@@ -104,7 +104,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 host_data: HostDataPlacement::WithType(ApiType::DataLoading),
                 ..Policy::default()
             });
-            Box::new(Named(Runtime::install(reg, policy), "Code-based: API"))
+            Box::new(Named(Runtime::install(reg, policy)))
         }
         SchemeKind::CodeApiData => {
             let policy = baseline_common(Policy {
@@ -115,10 +115,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 transport: ChannelTransport::Pipe,
                 ..Policy::default()
             });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Code-based: API & Data",
-            ))
+            Box::new(Named(Runtime::install(reg, policy)))
         }
         SchemeKind::LibraryEntire => {
             let policy = baseline_common(Policy {
@@ -128,10 +125,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 host_data: HostDataPlacement::Host,
                 ..Policy::default()
             });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Library-based: Entire Library",
-            ))
+            Box::new(Named(Runtime::install(reg, policy)))
         }
         SchemeKind::LibraryPerApi => {
             let plan = PartitionPlan::per_api(app_universe.iter().copied(), &reg);
@@ -143,22 +137,17 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 transport: ChannelTransport::Pipe,
                 ..Policy::default()
             });
-            Box::new(Named(
-                Runtime::install(reg, policy),
-                "Library-based: Individual APIs",
-            ))
+            Box::new(Named(Runtime::install(reg, policy)))
         }
         SchemeKind::FreePart => Box::new(Runtime::install(reg, Policy::freepart())),
     }
 }
 
-/// Wraps a [`Runtime`] with a baseline scheme name.
-pub struct Named(pub Runtime, pub &'static str);
+/// Drives a [`Runtime`] synchronously: every [`ApiSurface`] call,
+/// `call_deferred` included, retires before it returns.
+pub struct Named(pub Runtime);
 
 impl ApiSurface for Named {
-    fn scheme_name(&self) -> &'static str {
-        self.1
-    }
     fn call(
         &mut self,
         name: &str,

@@ -10,9 +10,6 @@ use freepart_simos::{Kernel, Pid};
 
 /// Anything an application pipeline needs from its runtime.
 pub trait ApiSurface {
-    /// Human-readable scheme name ("FreePart", "Library (entire)", ...).
-    fn scheme_name(&self) -> &'static str;
-
     /// Invokes a framework API by qualified name.
     ///
     /// # Errors
@@ -94,10 +91,6 @@ pub trait ApiSurface {
 }
 
 impl ApiSurface for Runtime {
-    fn scheme_name(&self) -> &'static str {
-        "FreePart"
-    }
-
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
         Runtime::call(self, name, args)
     }

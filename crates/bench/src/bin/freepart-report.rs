@@ -87,7 +87,7 @@ fn main() {
     // own leg, which is what the decomposition sums. A deferred call's
     // span would also cover the calls that overtake it, at the same
     // virtual time, as the untraced (deferred) run checks.
-    let mut traced = Named(traced_freepart(), "FreePart");
+    let mut traced = Named(traced_freepart());
     let t_fp = omr_time(&mut traced);
     let rt = traced.0;
     assert_eq!(

@@ -2,12 +2,12 @@
 //!
 //! The commit log ([`CommitLog`]) records *what the kernel did*; the
 //! [`Tracer`] records *why the runtime asked for it*. This module joins
-//! the two: every `StateTransition` audit record carries the commit-log
-//! index range its mprotect storm and temporal-grant sweep produced
-//! (stamped by the call plane via
-//! [`Tracer::record_audit_with_commits`]), which turns the flat log into
-//! a sequence of **transition windows** — the quiescent points at which
-//! the runtime's temporal-permission promises must hold.
+//! the two: every `StateTransition` audit record carries, in its
+//! `commits` field, the commit-log index range its mprotect storm and
+//! temporal-grant sweep produced (stamped by the call plane), which
+//! turns the flat log into a sequence of **transition windows** — the
+//! quiescent points at which the runtime's temporal-permission promises
+//! must hold.
 //!
 //! The rules here complement [`freepart_simos::replay::audit`], which
 //! checks kernel-internal invariants a log must satisfy in isolation
@@ -27,8 +27,6 @@
 //!   to its provenance chain ([`forensic_chain`]): which prior commits
 //!   touched the entities the crash touched, walking grants, IPC
 //!   frames, and payload writes backward to the offending source.
-//!
-//! [`Tracer::record_audit_with_commits`]: crate::trace::Tracer::record_audit_with_commits
 
 use std::collections::BTreeMap;
 
@@ -63,15 +61,15 @@ pub fn transition_windows(tracer: &Tracer) -> Vec<TransitionWindow> {
         .iter()
         .enumerate()
         .filter_map(|(i, rec)| match rec {
-            AuditRecord::StateTransition { seq, .. } => {
-                tracer
-                    .audit_commit_range(i)
-                    .map(|commits| TransitionWindow {
-                        audit_index: i,
-                        seq: *seq,
-                        commits,
-                    })
-            }
+            AuditRecord::StateTransition {
+                seq,
+                commits: Some(commits),
+                ..
+            } => Some(TransitionWindow {
+                audit_index: i,
+                seq: *seq,
+                commits: *commits,
+            }),
             _ => None,
         })
         .collect()
@@ -291,7 +289,7 @@ mod tests {
         }
     }
 
-    fn transition(seq: u64) -> AuditRecord {
+    fn transition(seq: u64, commits: Option<(u64, u64)>) -> AuditRecord {
         AuditRecord::StateTransition {
             at_ns: 0,
             thread: ThreadId::MAIN,
@@ -301,6 +299,7 @@ mod tests {
             objects_locked: 0,
             objects_unlocked: 0,
             pages: 0,
+            commits,
         }
     }
 
@@ -308,7 +307,7 @@ mod tests {
     fn windows_join_transitions_to_their_commit_ranges() {
         let mut t = Tracer::new();
         t.enable();
-        t.record_audit_with_commits(transition(1), Some((0, 4)));
+        t.record_audit(transition(1, Some((0, 4))));
         // A non-transition record between windows must not shift joins.
         t.record_audit(AuditRecord::ShmGrant {
             at_ns: 0,
@@ -317,9 +316,9 @@ mod tests {
             pid: Pid(9),
             bytes: 64,
         });
-        t.record_audit_with_commits(transition(2), Some((4, 9)));
+        t.record_audit(transition(2, Some((4, 9))));
         // Recorder off for this transition: no range, no window.
-        t.record_audit(transition(3));
+        t.record_audit(transition(3, None));
 
         let w = transition_windows(&t);
         assert_eq!(w.len(), 2);

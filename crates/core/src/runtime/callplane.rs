@@ -1,6 +1,12 @@
 //! The call plane: the synchronous and asynchronous hooked-call
 //! surface, submission (with the state-transition drain barrier and the
 //! temporal-grant sweep), bounded pipelined windows, and retirement.
+//!
+//! Each hooked call has one [`InFlight`] record from dispatch to
+//! retirement: `dispatch_execute` builds it, a batched call's frame
+//! pair waits on it until the flush, and retirement moves its outcome
+//! into `retired`, the one per-call outcome store that `wait`,
+//! `promise` and pooled tickets read.
 
 use super::{CallError, CallHandle, Runtime, ThreadId};
 use crate::partition::PartitionId;
@@ -12,48 +18,61 @@ use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, Value};
 use std::collections::BTreeSet;
 
-/// A call that has executed agent-side but whose response the host has
-/// not consumed yet. The simulator executes calls eagerly at submission
-/// (so results and side effects are identical to the synchronous path);
-/// the *overlap* lives in virtual time — the host's timeline only
-/// merges past the agent's at retirement.
+/// The one record of a hooked call, from dispatch to retirement. The
+/// simulator executes calls eagerly at submission (so results and side
+/// effects are identical to the synchronous path); the *overlap* lives
+/// in virtual time — the host's timeline only merges past the agent's
+/// at retirement.
 #[derive(Debug)]
 pub(super) struct InFlight {
     pub(super) api: ApiId,
     pub(super) thread: ThreadId,
     pub(super) partition: PartitionId,
     pub(super) outcome: Result<Value, CallError>,
-    /// A response frame is sitting in the ring for the host to consume.
-    pub(super) has_response: bool,
-    /// Journal-replay calls do their bookkeeping at submission.
+    /// A response frame is sitting in the ring for the host to consume:
+    /// `(send instant, frame bytes)`, for the `response` span.
+    pub(super) response: Option<(u64, u64)>,
+    /// Nothing left to book at retirement: a journal replay booked (and
+    /// acked) itself when served, a failed attempt completed nothing.
     pub(super) booked: bool,
     /// Objects this call consumed or produced (pinned-return set).
     pub(super) touched: Vec<ObjectId>,
     /// Agent-timeline completion, for hazard merges of later consumers.
     pub(super) complete_ns: u64,
-    /// Member of a batched IPC frame: the journal is acked at retirement
-    /// even though only the batch's first member carries the (single)
-    /// response frame.
-    pub(super) batch: bool,
+    /// A batch member's encoded `(request, response)` frame pair, waiting
+    /// here until the flush coalesces the open batch's pairs.
+    pub(super) frames: Option<(Vec<u8>, Vec<u8>)>,
+    /// A flushed batch's last member: `(first member's hook-entry ns,
+    /// member count)` of the `batch` span its retirement closes.
+    pub(super) batch_span: Option<(u64, usize)>,
+    /// Hook-entry instant, for the `call` span.
     pub(super) call_t0: u64,
-    pub(super) resp_t0: u64,
-    pub(super) resp_len: u64,
 }
 
-/// What one delivery attempt hands back to the submit path.
-pub(super) struct Dispatched {
-    pub(super) value: Value,
-    pub(super) has_response: bool,
-    pub(super) booked: bool,
-    pub(super) touched: Vec<ObjectId>,
-    pub(super) complete_ns: u64,
-    pub(super) resp_t0: u64,
-    pub(super) resp_len: u64,
-    /// In batched mode: the encoded request frame, buffered for the next
-    /// batch flush instead of having been sent individually.
-    pub(super) req_frame: Option<Vec<u8>>,
-    /// In batched mode: the encoded response frame, ditto.
-    pub(super) resp_frame: Option<Vec<u8>>,
+impl InFlight {
+    /// The record of an attempt no response frame answers: a failed
+    /// attempt, or a journal replay (booked when it was served).
+    pub(super) fn settled(
+        api: ApiId,
+        thread: ThreadId,
+        partition: PartitionId,
+        outcome: Result<Value, CallError>,
+        complete_ns: u64,
+    ) -> InFlight {
+        InFlight {
+            api,
+            thread,
+            partition,
+            outcome,
+            response: None,
+            booked: true,
+            touched: Vec::new(),
+            complete_ns,
+            frames: None,
+            batch_span: None,
+            call_t0: 0,
+        }
+    }
 }
 
 /// Consecutive same-partition calls whose frames are coalesced into one
@@ -61,17 +80,14 @@ pub(super) struct Dispatched {
 /// member calls have already executed eagerly agent-side (and journalled
 /// their seqs individually) — only the *frame accounting* is deferred,
 /// so results stay byte-identical to the unbatched runtime while the
-/// per-frame send/recv latency is paid once per batch.
+/// per-frame send/recv latency is paid once per batch. Each member's
+/// frame pair waits on its own [`InFlight`] record.
 #[derive(Debug)]
 pub(super) struct PendingBatch {
     pub(super) partition: PartitionId,
     pub(super) thread: ThreadId,
     /// Member seqs, in submission order.
     pub(super) members: Vec<u64>,
-    /// Buffered member request frames.
-    pub(super) req_frames: Vec<Vec<u8>>,
-    /// Buffered member response frames.
-    pub(super) resp_frames: Vec<Vec<u8>>,
     /// Objects any member consumed, produced, or defined — a host
     /// dereference of one of these is a hazard that flushes the batch.
     pub(super) touched: BTreeSet<ObjectId>,
@@ -95,7 +111,10 @@ impl Runtime {
 
     /// Calls a framework API by name on a specific application thread:
     /// the call routes to *that thread's* agent set and drives that
-    /// thread's framework state.
+    /// thread's framework state. Exactly equivalent to
+    /// [`Runtime::call_async_on`] followed by an immediate
+    /// [`Runtime::wait`] — the async machinery adds zero virtual
+    /// nanoseconds to the synchronous path.
     ///
     /// # Errors
     ///
@@ -106,37 +125,7 @@ impl Runtime {
         name: &str,
         args: &[Value],
     ) -> Result<Value, CallError> {
-        let api = self
-            .reg
-            .id_of(name)
-            .ok_or_else(|| CallError::UnknownApi(name.to_owned()))?;
-        self.call_id_on(thread, api, args)
-    }
-
-    /// Calls a framework API by id on the main thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`CallError`].
-    pub fn call_id(&mut self, api: ApiId, args: &[Value]) -> Result<Value, CallError> {
-        self.call_id_on(ThreadId::MAIN, api, args)
-    }
-
-    /// Calls a framework API by id on a specific thread. Exactly
-    /// equivalent to [`Runtime::call_async_id_on`] followed by an
-    /// immediate [`Runtime::wait`] — the async machinery adds zero
-    /// virtual nanoseconds to the synchronous path.
-    ///
-    /// # Errors
-    ///
-    /// See [`CallError`].
-    pub fn call_id_on(
-        &mut self,
-        thread: ThreadId,
-        api: ApiId,
-        args: &[Value],
-    ) -> Result<Value, CallError> {
-        let handle = self.submit(thread, api, args, &[])?;
+        let handle = self.call_async_on(thread, name, args)?;
         self.wait(handle)
     }
 
@@ -195,21 +184,6 @@ impl Runtime {
         self.submit(thread, api, args, deps)
     }
 
-    /// Submits a hooked call by API id (see [`Runtime::call_async_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::call_async`].
-    pub fn call_async_id_on(
-        &mut self,
-        thread: ThreadId,
-        api: ApiId,
-        args: &[Value],
-        deps: &[CallHandle],
-    ) -> Result<CallHandle, CallError> {
-        self.submit(thread, api, args, deps)
-    }
-
     /// Retires a call: consumes its response frame (merging the host's
     /// timeline past the agent's completion), runs host-side
     /// bookkeeping, and returns the result. Responses drain each
@@ -222,24 +196,12 @@ impl Runtime {
     ///
     /// The call's execution error, if any (see [`CallError`]).
     pub fn wait(&mut self, handle: CallHandle) -> Result<Value, CallError> {
-        if !self.inflight.contains_key(&handle.0) {
-            return match self.retired.get(&handle.0) {
-                Some((outcome, _)) => outcome.clone(),
-                None => Err(CallError::UnknownApi(format!(
-                    "call #{} was never submitted",
-                    handle.0
-                ))),
-            };
-        }
-        let partition = self.inflight[&handle.0].partition;
-        loop {
-            let front = self.inflight_by_partition[&partition][0];
-            self.retire_one(front);
-            if front == handle.0 {
-                break;
+        if let Some(partition) = self.inflight.get(&handle.0).map(|i| i.partition) {
+            while self.inflight.contains_key(&handle.0) {
+                self.retire_one(self.inflight_by_partition[&partition][0]);
             }
         }
-        self.retired[&handle.0].0.clone()
+        self.promise(handle)
     }
 
     /// Peeks at an in-flight (or retired) call's result without
@@ -311,7 +273,7 @@ impl Runtime {
     /// window enforcement, then one (crash-retried) delivery attempt.
     /// The call is fully executed agent-side when this returns; only
     /// the response leg and host bookkeeping remain for `wait`.
-    fn submit(
+    pub(super) fn submit(
         &mut self,
         thread: ThreadId,
         api: ApiId,
@@ -392,20 +354,18 @@ impl Runtime {
                 if let Some((t0, pages0)) = before {
                     let now = self.kernel.now_ns();
                     let pages = self.kernel.metrics().protected_pages - pages0;
-                    let commits = (commits0, self.kernel.commit_len());
-                    self.tracer.record_audit_with_commits(
-                        AuditRecord::StateTransition {
-                            at_ns: t0,
-                            thread,
-                            seq,
-                            from: tr.from,
-                            to: tr.to,
-                            objects_locked: tr.locked.len(),
-                            objects_unlocked: tr.released,
-                            pages,
-                        },
-                        Some(commits),
-                    );
+                    let commits = Some((commits0, self.kernel.commit_len())).filter(|(s, e)| e > s);
+                    self.tracer.record_audit(AuditRecord::StateTransition {
+                        at_ns: t0,
+                        thread,
+                        seq,
+                        from: tr.from,
+                        to: tr.to,
+                        objects_locked: tr.locked.len(),
+                        objects_unlocked: tr.released,
+                        pages,
+                        commits,
+                    });
                     self.tracer.span(SpanEvent {
                         phase: SpanPhase::Transition,
                         seq,
@@ -432,27 +392,19 @@ impl Runtime {
             self.flush_batch(FlushReason::PartitionSwitch);
         }
 
-        // Bounded in-flight window per partition. The open batch counts
-        // as ONE unit however many members it holds (it will become one
-        // frame); its members cannot be retired until it flushes, so the
-        // loop stops rather than force-flush mid-accumulation.
+        // Bounded in-flight window per partition. The open batch (now on
+        // this partition, if any) counts as ONE unit however many members
+        // it holds (it will become one frame); its members cannot be
+        // retired until it flushes, so the loop stops rather than
+        // force-flush mid-accumulation.
         while let Some(q) = self.inflight_by_partition.get(&partition) {
-            let batch_members = self
-                .batch
-                .as_ref()
-                .filter(|b| b.partition == partition)
-                .map(|b| b.members.len())
-                .unwrap_or(0);
+            let batch_members = self.batch.as_ref().map_or(0, |b| b.members.len());
             let units = q.len() - batch_members + usize::from(batch_members > 0);
             if units < self.knobs(partition).pipeline_window {
                 break;
             }
             let oldest = q[0];
-            if self
-                .batch
-                .as_ref()
-                .is_some_and(|b| b.members.first() == Some(&oldest))
-            {
+            if self.inflight[&oldest].frames.is_some() {
                 break;
             }
             self.retire_one(oldest);
@@ -475,60 +427,25 @@ impl Runtime {
         if self.pipelining {
             self.kernel.set_time_context(Some(self.host));
         }
-        let inf = match attempt {
-            Ok(mut d) => {
-                // Batched mode: the member's frames were buffered by
-                // dispatch instead of sent; append them to the open batch
-                // (creating one on the first member). Replays and crashed
-                // attempts carry no frames and never join a batch.
-                let frames = d.req_frame.take().zip(d.resp_frame.take());
-                let in_batch = frames.is_some();
-                if let Some((req_frame, resp_frame)) = frames {
-                    let b = self.batch.get_or_insert_with(|| PendingBatch {
-                        partition,
-                        thread,
-                        members: Vec::new(),
-                        req_frames: Vec::new(),
-                        resp_frames: Vec::new(),
-                        touched: BTreeSet::new(),
-                        t0: call_t0,
-                    });
-                    debug_assert_eq!(b.partition, partition, "switch flushes first");
-                    b.members.push(seq);
-                    b.req_frames.push(req_frame);
-                    b.resp_frames.push(resp_frame);
-                    b.touched.extend(d.touched.iter().copied());
-                }
-                InFlight {
-                    api,
-                    thread,
-                    partition,
-                    outcome: Ok(d.value),
-                    has_response: d.has_response,
-                    booked: d.booked,
-                    touched: d.touched,
-                    complete_ns: d.complete_ns,
-                    batch: in_batch,
-                    call_t0,
-                    resp_t0: d.resp_t0,
-                    resp_len: d.resp_len,
-                }
-            }
-            Err(e) => InFlight {
-                api,
-                thread,
+        let mut inf = attempt.unwrap_or_else(|e| {
+            InFlight::settled(api, thread, partition, Err(e), self.kernel.now_ns())
+        });
+        inf.call_t0 = call_t0;
+        // Batched mode: the member's frames wait on its record; its seq
+        // joins the open batch (creating one on the first member).
+        // Replays and failed attempts carry no frames and never join.
+        if inf.frames.is_some() {
+            let b = self.batch.get_or_insert_with(|| PendingBatch {
                 partition,
-                outcome: Err(e),
-                has_response: false,
-                booked: false,
-                touched: Vec::new(),
-                complete_ns: self.kernel.now_ns(),
-                batch: false,
-                call_t0,
-                resp_t0: 0,
-                resp_len: 0,
-            },
-        };
+                thread,
+                members: Vec::new(),
+                touched: BTreeSet::new(),
+                t0: call_t0,
+            });
+            debug_assert_eq!(b.partition, partition, "switch flushes first");
+            b.members.push(seq);
+            b.touched.extend(inf.touched.iter().copied());
+        }
         self.inflight.insert(seq, inf);
         self.inflight_by_partition
             .entry(partition)
@@ -561,16 +478,20 @@ impl Runtime {
             let now = self.kernel.now_ns();
             self.tracer.note_batch_flush(now, b.thread, reason, n);
         }
+        // Members are still in flight (retirement flushes first), each
+        // holding its frame pair; collect the pairs in member order.
+        let (reqs, resps): (Vec<_>, Vec<_>) = b
+            .members
+            .iter()
+            .filter_map(|s| self.inflight.get_mut(s)?.frames.take())
+            .unzip();
         // One frame each way — skipped entirely if the agent died (its
         // members' outcomes were computed eagerly; retirement charges
         // nothing for a dead agent, exactly like the unbatched path).
         if let Some(agent) = self.agents.get(&b.partition) {
             let (agent_pid, chan) = (agent.pid, agent.chan);
             if self.kernel.is_running(agent_pid) {
-                let breq = BatchRequest {
-                    members: b.req_frames,
-                }
-                .encode();
+                let breq = BatchRequest { members: reqs }.encode();
                 // `ipc_send` charges the host's timeline and `ipc_recv`
                 // the agent's (with the happens-before merge under
                 // per-process time) — no time-context switch needed.
@@ -579,23 +500,18 @@ impl Runtime {
                     let _ = self.kernel.ipc_recv(agent_pid, chan);
                 }
                 let resp_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-                let bresp = BatchResponse {
-                    members: b.resp_frames,
-                }
-                .encode();
+                let bresp = BatchResponse { members: resps }.encode();
                 let resp_len = bresp.len() as u64;
                 if send_ok && self.kernel.ipc_send(agent_pid, chan, &bresp).is_ok() {
                     if let Some(inf) = b.members.first().and_then(|s| self.inflight.get_mut(s)) {
-                        inf.has_response = true;
-                        inf.resp_t0 = resp_t0;
-                        inf.resp_len = resp_len;
+                        inf.response = Some((resp_t0, resp_len));
                     }
                 }
             }
         }
         if tracing {
-            if let Some(&last) = b.members.last() {
-                self.batch_spans.insert(last, (b.t0, n));
+            if let Some(inf) = b.members.last().and_then(|s| self.inflight.get_mut(s)) {
+                inf.batch_span = Some((b.t0, n));
             }
         }
     }
@@ -614,14 +530,10 @@ impl Runtime {
     /// call's host-side bookkeeping. `seq` must be the oldest in-flight
     /// call on its partition (ring FIFO).
     fn retire_one(&mut self, seq: u64) {
-        // A host `wait` (or drain) reaching into the open batch is a
-        // hazard: the frames must go out before the response can be
-        // consumed.
-        if self
-            .batch
-            .as_ref()
-            .is_some_and(|b| b.members.contains(&seq))
-        {
+        // A host `wait` (or drain) reaching into the open batch (a record
+        // still holding its frames) is a hazard: the frames must go out
+        // before the response can be consumed.
+        if self.inflight.get(&seq).is_some_and(|i| i.frames.is_some()) {
             self.flush_batch(FlushReason::Hazard);
         }
         let Some(inf) = self.inflight.remove(&seq) else {
@@ -634,7 +546,7 @@ impl Runtime {
         }
         let tracing = self.tracer.enabled();
         let mut outcome = inf.outcome;
-        if inf.has_response {
+        if let Some((resp_t0, resp_len)) = inf.response {
             // The host consumes the response now — under per-process
             // time this merges the host's timeline past the agent's
             // completion (happens-before) and charges delivery latency.
@@ -649,38 +561,33 @@ impl Runtime {
                     api: Some(inf.api),
                     partition: Some(partition),
                     thread: inf.thread,
-                    start_ns: inf.resp_t0,
+                    start_ns: resp_t0,
                     end_ns: now,
-                    bytes: inf.resp_len,
+                    bytes: resp_len,
                 });
             }
         }
-        // The host will never re-request this seq: let the agent prune
-        // its completion journal up to the watermark. Every batch member
-        // acks (only the first carried the frame); FIFO retirement keeps
-        // the watermark monotone.
-        if inf.has_response || inf.batch {
-            if let Some(agent) = self.agents.get_mut(&partition) {
-                agent.cache.ack(seq);
-            }
-        }
         let mut snapshot_due = false;
-        if outcome.is_ok() && !inf.booked {
+        if !inf.booked {
             // The agent record can be gone by retirement time if the
             // supervisor degraded the partition mid-flight (a seal
             // failure after this call's successful execution): book the
             // completion, skip the per-agent counters.
             if let Some(agent) = self.agents.get_mut(&partition) {
+                // The host will never re-request this seq: let the agent
+                // prune its completion journal up to the watermark. Every
+                // batch member acks (only the first carried the frame);
+                // FIFO retirement keeps the watermark monotone.
+                agent.cache.ack(seq);
                 agent.calls += 1;
                 snapshot_due = self.policy.snapshot_interval > 0
                     && agent.calls.is_multiple_of(self.policy.snapshot_interval);
             }
             self.stats.rpc_calls += 1;
-            self.call_log.push(inf.api);
 
             // Ship pinned objects back to their data processes.
             if !self.pinned.is_empty() {
-                for obj in inf.touched.clone() {
+                for &obj in &inf.touched {
                     if let Err(e) = self.return_pinned(seq, inf.thread, obj) {
                         outcome = Err(e);
                         snapshot_due = false;
@@ -720,7 +627,7 @@ impl Runtime {
             // Closing a batch's last member closes the enclosing `batch`
             // span: first member's hook entry to here, so it spans every
             // member `call` span. `bytes` carries the member count.
-            if let Some((t0, count)) = self.batch_spans.remove(&seq) {
+            if let Some((t0, count)) = inf.batch_span {
                 self.tracer.span(SpanEvent {
                     phase: SpanPhase::Batch,
                     seq,

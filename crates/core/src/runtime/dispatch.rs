@@ -1,9 +1,10 @@
 //! One delivery attempt to an agent: request framing, journal replay,
 //! data-plane payload moves, agent-context execution, completion
-//! journaling, and the response leg. The host-side half of a call
-//! (response consumption, bookkeeping) lives in `callplane.rs`.
+//! journaling, and the response leg. The attempt builds the call's
+//! [`InFlight`] record; the host-side half of a call (response
+//! consumption, bookkeeping) lives in `callplane.rs`.
 
-use super::callplane::Dispatched;
+use super::callplane::InFlight;
 use super::{CallError, CallHandle, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::{RestartPolicy, SandboxLevel};
@@ -17,9 +18,10 @@ use freepart_simos::FaultKind;
 impl Runtime {
     /// One delivery attempt to an agent: marshals the request, moves
     /// argument payloads, executes agent-side, journals the completion,
-    /// and *sends* the response — but does not consume it. `seq`
-    /// identifies the logical call and is reused verbatim on
-    /// crash-retries. The host-side half lives in `retire_one`.
+    /// and *sends* the response — but does not consume it. Returns the
+    /// call's in-flight record. `seq` identifies the logical call and is
+    /// reused verbatim on crash-retries. The host-side half lives in
+    /// `retire_one`.
     pub(super) fn dispatch_execute(
         &mut self,
         thread: ThreadId,
@@ -28,7 +30,7 @@ impl Runtime {
         api: ApiId,
         args: &[Value],
         deps: &[CallHandle],
-    ) -> Result<Dispatched, CallError> {
+    ) -> Result<InFlight, CallError> {
         let agent_pid = self
             .agents
             .get(&partition)
@@ -52,9 +54,9 @@ impl Runtime {
             .pid;
 
         // --- request frame host → agent ---
-        // Batched mode buffers the encoded frame for the next batch
-        // flush (one IPC frame for N calls) instead of sending it now;
-        // execution stays eager either way.
+        // Batched mode keeps the encoded frame on the call's record for
+        // the next batch flush (one IPC frame for N calls) instead of
+        // sending it now; execution stays eager either way.
         let batched = self.knobs(partition).batch_window.is_some();
         let tracing = self.tracer.enabled();
         let marshal_t0 = if tracing { self.kernel.now_ns() } else { 0 };
@@ -104,7 +106,6 @@ impl Runtime {
             // prunable) the moment the replay is served.
             agent.cache.ack(req.seq);
             self.stats.rpc_calls += 1;
-            self.call_log.push(api);
             if tracing {
                 let now = self.kernel.now_ns();
                 self.tracer.note_journal_hit(seq);
@@ -122,17 +123,14 @@ impl Runtime {
             if self.policy.sandbox != SandboxLevel::None && !self.agents[&partition].sealed {
                 self.seal_agent(partition);
             }
-            return Ok(Dispatched {
-                value: cached,
-                has_response: false,
-                booked: true,
-                touched: Vec::new(),
-                complete_ns: self.kernel.timeline_ns(agent_pid),
-                resp_t0: 0,
-                resp_len: 0,
-                req_frame: None,
-                resp_frame: None,
-            });
+            let complete_ns = self.kernel.timeline_ns(agent_pid);
+            return Ok(InFlight::settled(
+                api,
+                thread,
+                partition,
+                Ok(cached),
+                complete_ns,
+            ));
         }
 
         // From here the agent does the work: charge its timeline.
@@ -258,9 +256,9 @@ impl Runtime {
         }
 
         // --- response frame agent → host (sent; consumed at retire) ---
-        // In batched mode the frame is buffered too: the batch's single
-        // response frame is sent at flush and consumed when the batch's
-        // first member retires.
+        // In batched mode the frame waits on the call's record too: the
+        // batch's single response frame is sent at flush and consumed
+        // when the batch's first member retires.
         let resp_t0 = if tracing { self.kernel.now_ns() } else { 0 };
         let resp = Response {
             seq: req.seq,
@@ -293,16 +291,18 @@ impl Runtime {
             touched.extend(new_ids.iter().copied());
         }
 
-        Ok(Dispatched {
-            value: result,
-            has_response: !batched,
+        Ok(InFlight {
+            api,
+            thread,
+            partition,
+            outcome: Ok(result),
+            response: (!batched).then_some((resp_t0, resp_len)),
             booked: false,
             touched,
             complete_ns,
-            resp_t0,
-            resp_len,
-            req_frame: batched.then_some(req_wire),
-            resp_frame: batched.then_some(resp_frame),
+            frames: batched.then_some((req_wire, resp_frame)),
+            batch_span: None,
+            call_t0: 0,
         })
     }
 }

@@ -334,7 +334,6 @@ pub struct Runtime {
     crash_before_response: Option<PartitionId>,
     /// Exploit actions observed inside agents (drained by the harness).
     pub exploit_log: Vec<ActionReport>,
-    call_log: Vec<ApiId>,
     stats: RuntimeStats,
     tracer: Tracer,
     snapshots: BTreeMap<PartitionId, Vec<SnapshotEntry>>,
@@ -361,10 +360,6 @@ pub struct Runtime {
     /// same-partition calls whose request/response frames are coalesced
     /// into one IPC frame each at flush time.
     batch: Option<PendingBatch>,
-    /// Flushed-batch trace bookkeeping, keyed by each batch's *last*
-    /// member seq: `(first member's hook-entry ns, member count)`. The
-    /// enclosing `batch` span is emitted when that member retires.
-    batch_spans: BTreeMap<u64, (u64, usize)>,
     /// Pre-forked spare agents per partition (`Policy::warm_spares`).
     spares: BTreeMap<PartitionId, VecDeque<Spare>>,
     /// Per-partition restart-budget state (`Policy::restart_budget`).
@@ -445,7 +440,6 @@ impl Runtime {
             seq: 0,
             crash_before_response: None,
             exploit_log: Vec::new(),
-            call_log: Vec::new(),
             stats: RuntimeStats::default(),
             tracer,
             snapshots: BTreeMap::new(),
@@ -457,7 +451,6 @@ impl Runtime {
             pipelining: false,
             knob_table,
             batch: None,
-            batch_spans: BTreeMap::new(),
             spares: BTreeMap::new(),
             governors: BTreeMap::new(),
             fail_next_restore: None,
@@ -635,11 +628,6 @@ impl Runtime {
             shm_mapped_bytes: m.shm_mapped_bytes,
             ..self.stats
         }
-    }
-
-    /// Sequence of API calls completed so far.
-    pub fn call_log(&self) -> &[ApiId] {
-        &self.call_log
     }
 
     /// Whether any thread holds a temporal lock on a given object.

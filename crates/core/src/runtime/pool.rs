@@ -21,8 +21,13 @@
 //!   ([`DrrScheduler`](freepart_simos::DrrScheduler)); `pump` drains
 //!   them so a chatty tenant cannot starve the rest (bounded by the
 //!   quantum, asserted by the starvation-freedom proptests).
+//!
+//! A ticket holds what the scheduler needs plus, once served, the call
+//! plane's [`CallHandle`]: the outcome itself lives in the call plane's
+//! retired record, and [`Runtime::tenant_wait`] reads it through
+//! [`Runtime::wait`].
 
-use super::{CallError, Runtime, ThreadId};
+use super::{CallError, CallHandle, Runtime, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::PoolConfig;
 use crate::state::Owner;
@@ -64,7 +69,7 @@ impl TenantHandle {
     }
 }
 
-/// One queued (or completed) pooled call, with the scheduler snapshots
+/// One queued (or served) pooled call, with the scheduler snapshots
 /// that turn its completion into a fairness measurement.
 #[derive(Debug)]
 pub(super) struct Ticket {
@@ -80,11 +85,10 @@ pub(super) struct Ticket {
     pool_served_at: u64,
     /// This tenant's served cost on the pool when the ticket enqueued.
     tenant_served_at: u64,
-    /// The outcome, once pumped.
-    done: Option<Result<Value, CallError>>,
-    /// Items served to *other* tenants of the same pool between this
-    /// ticket's enqueue and its dequeue.
-    foreign_served: Option<u64>,
+    /// Once pumped: the items served to *other* tenants of the same
+    /// pool between this ticket's enqueue and its dequeue, and the call
+    /// plane's handle (or the submission error).
+    served: Option<(u64, Result<CallHandle, CallError>)>,
 }
 
 /// Everything pooled mode adds to the runtime (`Policy::pooled`); the
@@ -199,8 +203,7 @@ impl Runtime {
             enqueue_ns,
             pool_served_at: p.sched.served(pool.0),
             tenant_served_at: p.sched.served_cost(pool.0, tenant.0),
-            done: None,
-            foreign_served: None,
+            served: None,
         };
         p.tickets.insert(ticket_id, ticket);
         Ok(TenantHandle(ticket_id))
@@ -227,12 +230,15 @@ impl Runtime {
         // includes this item for both counters, so they cancel.
         let foreign = (p.sched.served(pool.0) - t.pool_served_at)
             .saturating_sub(p.sched.served_cost(pool.0, tenant.0) - t.tenant_served_at);
-        t.foreign_served = Some(foreign);
-        let outcome = self.call_id_on(tenant.thread(), api, &args);
+        let call = self.submit(tenant.thread(), api, &args, &[]);
+        if let Ok(h) = call {
+            // Retire now; `tenant_wait` reads the outcome back via `wait`.
+            let _ = self.wait(h);
+        }
         let now = self.kernel.now_ns();
         let p = self.pool.as_mut().expect("pooled");
         let t = p.tickets.get_mut(&ticket_id).expect("queued ticket");
-        t.done = Some(outcome);
+        t.served = Some((foreign, call));
         let latency = now.saturating_sub(t.enqueue_ns);
         p.latencies.entry(tenant.0).or_default().push(latency);
         Some(TenantHandle(ticket_id))
@@ -244,8 +250,8 @@ impl Runtime {
     }
 
     /// Retires a pooled call: pumps the scheduler until `handle`'s
-    /// ticket completes and returns its outcome. Waiting on an
-    /// already-completed ticket returns the cached outcome.
+    /// ticket is served and returns its outcome — the call plane's
+    /// retired record, read through [`Runtime::wait`].
     ///
     /// # Errors
     ///
@@ -256,8 +262,8 @@ impl Runtime {
             let t = self.ticket(handle).ok_or_else(|| {
                 CallError::UnknownApi(format!("unknown pooled ticket {}", handle.0))
             })?;
-            if let Some(done) = &t.done {
-                return done.clone();
+            if let Some((_, call)) = t.served.clone() {
+                return self.wait(call?);
             }
             if self.pump_one().is_none() {
                 return Err(CallError::UnknownApi(format!(
@@ -390,7 +396,7 @@ impl Runtime {
     /// `foreign_served` by the DRR window. `None` until pumped.
     pub fn ticket_fairness(&self, handle: TenantHandle) -> Option<(u64, usize)> {
         let t = self.ticket(handle)?;
-        Some((t.foreign_served?, t.own_ahead))
+        Some((t.served.as_ref()?.0, t.own_ahead))
     }
 
     fn ticket(&self, handle: TenantHandle) -> Option<&Ticket> {

@@ -428,6 +428,12 @@ pub enum AuditRecord {
         /// `mprotect` page transitions applied (the `protected_pages`
         /// kernel-counter delta across this transition).
         pages: u64,
+        /// Commit-log index range `[start, end)` of the kernel
+        /// transitions this one's mprotect storm and temporal-grant
+        /// sweep produced — the join from this record into the flight
+        /// recorder. `None` when the recorder was off or the range is
+        /// empty.
+        commits: Option<(u64, u64)>,
     },
     /// Temporal protection re-applied to a migrated object.
     Reprotect {
@@ -639,10 +645,6 @@ pub struct Tracer {
     events: Vec<SpanEvent>,
     marks: Vec<(u64, ThreadId, String)>,
     audit: Vec<AuditRecord>,
-    /// Commit-log index range `[start, end)` each audit record covers,
-    /// parallel to `audit`. `None` when the kernel flight recorder was
-    /// off (or the recording site predates correlation).
-    audit_commits: Vec<Option<(u64, u64)>>,
     stats: BTreeMap<(PartitionId, ApiId), ApiStats>,
     pending: BTreeMap<u64, PendingCall>,
     /// Batch flushes: `(virtual ns, thread, reason, member calls)`.
@@ -693,16 +695,6 @@ impl Tracer {
     /// [`Tracer::events`].
     pub fn events_since(&self, idx: usize) -> &[SpanEvent] {
         &self.events[idx.min(self.events.len())..]
-    }
-
-    /// The commit-log index range `[start, end)` audit record `i`
-    /// covers, when the kernel flight recorder was on at recording time.
-    /// Joining an audit record to its commit slice is what lets the
-    /// forensic reporter walk from a runtime-level event (a denied
-    /// restart, a filter kill) into the exact kernel transitions that
-    /// produced it.
-    pub fn audit_commit_range(&self, i: usize) -> Option<(u64, u64)> {
-        self.audit_commits.get(i).copied().flatten()
     }
 
     /// Batch flushes recorded so far: `(virtual ns, thread, reason,
@@ -784,17 +776,10 @@ impl Tracer {
         }
     }
 
-    /// Appends an audit record with no commit-log correlation.
+    /// Appends an audit record (no-op when disabled).
     pub fn record_audit(&mut self, record: AuditRecord) {
-        self.record_audit_with_commits(record, None);
-    }
-
-    /// Appends an audit record correlated to the commit-log index range
-    /// `[start, end)` of the kernel transitions it covers.
-    pub fn record_audit_with_commits(&mut self, record: AuditRecord, commits: Option<(u64, u64)>) {
         if self.enabled {
             self.audit.push(record);
-            self.audit_commits.push(commits.filter(|(s, e)| e > s));
         }
     }
 
@@ -1255,20 +1240,42 @@ mod tests {
 
     #[test]
     fn audit_commit_ranges_join_records_to_the_flight_recorder() {
-        let mut t = Tracer::new();
-        t.enable();
-        let rec = || AuditRecord::Reprotect {
-            at_ns: 0,
-            object: ObjectId(1),
-            pages: 1,
-        };
-        t.record_audit(rec());
-        t.record_audit_with_commits(rec(), Some((10, 14)));
-        t.record_audit_with_commits(rec(), Some((14, 14))); // empty range
-        assert_eq!(t.audit_commit_range(0), None);
-        assert_eq!(t.audit_commit_range(1), Some((10, 14)));
-        assert_eq!(t.audit_commit_range(2), None, "empty ranges are dropped");
-        assert_eq!(t.audit_commit_range(99), None, "out of range is None");
+        use crate::{Policy, Runtime};
+        use freepart_frameworks::api::ApiType;
+        use freepart_frameworks::registry::standard_registry;
+        use freepart_frameworks::{fileio, image::Image, Value};
+
+        let mut rt = Runtime::install(standard_registry(), Policy::freepart_recorded());
+        rt.enable_tracing();
+        rt.kernel
+            .fs
+            .put("/in.simg", fileio::encode_image(&Image::new(8, 8, 3), None));
+        let img = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
+        rt.call("cv2.GaussianBlur", &[img]).unwrap();
+
+        let transitions: Vec<_> = rt
+            .tracer()
+            .audit_log()
+            .iter()
+            .filter_map(|r| match r {
+                AuditRecord::StateTransition {
+                    from, to, commits, ..
+                } => Some((*from, *to, *commits)),
+                _ => None,
+            })
+            .collect();
+        let loading = FrameworkState::InType(ApiType::DataLoading);
+        let processing = FrameworkState::InType(ApiType::DataProcessing);
+        assert_eq!(transitions.len(), 2, "{transitions:?}");
+        assert_eq!(
+            transitions[0],
+            (FrameworkState::Initialization, loading, None),
+            "a transition that locks nothing carries no range"
+        );
+        let (from, to, commits) = transitions[1];
+        assert_eq!((from, to), (loading, processing));
+        let (start, end) = commits.expect("locking the image is recorded");
+        assert!(start < end && end <= rt.kernel.commit_len(), "{commits:?}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Batched hooked-call submission and differential re-protection:
 //! crash-mid-batch stays exactly-once per seq, no batch straddles a
-//! framework-state transition, batch spans enclose their member call
-//! spans in the exported trace, and mprotect accounting only ever
+//! framework-state transition, batch frames carry their members in seq
+//! order on the wire, batch spans enclose their member call spans in
+//! the exported trace, and mprotect accounting only ever
 //! charges pages whose permissions actually change — while post-restart
 //! restores still get the full (non-differential) re-protection.
 
+use freepart::rpc::{BatchRequest, BatchResponse, Request, Response};
 use freepart::{
     state, AuditRecord, FlushReason, Policy, Runtime, SpanPhase, TemporalPlane, ThreadId,
 };
@@ -13,7 +15,7 @@ use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{fileio, image::Image, ObjectKind, ObjectStore, Value};
 use freepart_simos::device::Camera;
-use freepart_simos::{FaultKind, Kernel, Perms, SimError, PAGE_SIZE};
+use freepart_simos::{CommitOp, FaultKind, Kernel, Perms, SimError, PAGE_SIZE};
 
 fn seed_image(rt: &mut Runtime, path: &str) {
     rt.kernel
@@ -128,6 +130,62 @@ fn no_batch_straddles_a_state_transition() {
         .map(|(_, _, r, _)| *r)
         .collect();
     assert!(reasons.contains(&FlushReason::Transition));
+}
+
+#[test]
+fn batched_frames_carry_member_seqs_in_submission_order() {
+    // Read the batch frames off the recorded wire: each `BatchRequest`
+    // holds consecutive, ascending member seqs, the next
+    // `BatchResponse` answers the same seqs in the same order, and
+    // every batched call rides in exactly one frame pair.
+    let mut rt = Runtime::install(
+        standard_registry(),
+        Policy {
+            record_commits: true,
+            ..Policy::freepart_batched()
+        },
+    );
+    run_batched_chain(&mut rt, 6);
+    let calls_batched = rt.kernel.metrics().calls_batched;
+    let log = rt.kernel.take_commit_log().expect("recorder is on");
+
+    let (mut open, mut members, mut frames) = (None, 0, 0);
+    for rec in log.records() {
+        let CommitOp::IpcSend { payload, .. } = &rec.op else {
+            continue;
+        };
+        if let Some(batch) = BatchRequest::decode(payload) {
+            assert_eq!(
+                open, None,
+                "a batch is answered before the next one goes out"
+            );
+            let seqs: Vec<u64> = batch
+                .members
+                .iter()
+                .map(|m| Request::decode(m).expect("member request frame").seq)
+                .collect();
+            assert!(
+                seqs.windows(2).all(|w| w[1] == w[0] + 1),
+                "member seqs are consecutive and ascending: {seqs:?}"
+            );
+            open = Some(seqs);
+        } else if let Some(batch) = BatchResponse::decode(payload) {
+            let seqs: Vec<u64> = batch
+                .members
+                .iter()
+                .map(|m| Response::decode(m).expect("member response frame").seq)
+                .collect();
+            members += seqs.len() as u64;
+            frames += 1;
+            assert_eq!(Some(seqs), open.take(), "the response keeps member order");
+        }
+    }
+    assert_eq!(open, None, "every batch request was answered");
+    assert_eq!(
+        members, calls_batched,
+        "every batched call rides in one frame pair"
+    );
+    assert!(frames < members, "the chain coalesces multi-call batches");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! must be functionally transparent (same results as no isolation) and
 //! must never destabilize the system.
 
-use freepart::{Policy, Runtime};
+use freepart::{Policy, Runtime, SpanPhase};
 use freepart_frameworks::api::ApiKind;
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::registry::standard_registry;
@@ -48,7 +48,7 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), policy);
     rt.kernel.fs.put(
@@ -57,8 +57,8 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
     );
     let mut cur = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        cur = rt.call_id(api, &[cur]).unwrap();
+        let name = &filters[*p as usize % filters.len()];
+        cur = rt.call(name, &[cur]).unwrap();
     }
     let bytes = rt.fetch_bytes(cur.as_obj().unwrap()).unwrap();
     (bytes, rt)
@@ -78,7 +78,7 @@ fn run_freepart_async(
     let filters: Vec<_> = reg
         .iter()
         .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.id)
+        .map(|s| s.name.clone())
         .collect();
     let mut rt = Runtime::install(standard_registry(), policy);
     rt.kernel.fs.put(
@@ -93,10 +93,8 @@ fn run_freepart_async(
         .unwrap();
     let mut cur = rt.promise(h).unwrap();
     for p in picks {
-        let api = filters[*p as usize % filters.len()];
-        let h = rt
-            .call_async_id_on(freepart::ThreadId::MAIN, api, &[cur], &[])
-            .unwrap();
+        let name = &filters[*p as usize % filters.len()];
+        let h = rt.call_async(name, &[cur]).unwrap();
         cur = rt.promise(h).unwrap();
     }
     rt.drain_inflight();
@@ -243,7 +241,7 @@ proptest! {
         let filters: Vec<_> = reg
             .iter()
             .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-            .map(|s| s.id)
+            .map(|s| s.name.clone())
             .collect();
         let mut rt2 = Runtime::install(standard_registry(), Policy::without_ldc());
         rt2.kernel.fs.put(
@@ -252,8 +250,8 @@ proptest! {
         );
         let mut cur = rt2.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
         for p in &picks {
-            let api = filters[*p as usize % filters.len()];
-            cur = rt2.call_id(api, &[cur]).unwrap();
+            let name = &filters[*p as usize % filters.len()];
+            cur = rt2.call(name, &[cur]).unwrap();
         }
         let without = rt2.fetch_bytes(cur.as_obj().unwrap()).unwrap();
         prop_assert_eq!(with_ldc, without);
@@ -316,9 +314,10 @@ proptest! {
             let filters: Vec<_> = reg
                 .iter()
                 .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-                .map(|s| s.id)
+                .map(|s| s.name.clone())
                 .collect();
             let mut rt = Runtime::install(standard_registry(), policy);
+            rt.enable_tracing();
             rt.kernel.fs.put(
                 "/in.simg",
                 fileio::encode_image(&Image::new(side, side, 3), None),
@@ -339,8 +338,8 @@ proptest! {
                         .call("cv2.imread", &[Value::from("/in.simg")])
                         .map_err(|e| e.to_string())?;
                     for p in &picks {
-                        let api = filters[*p as usize % filters.len()];
-                        cur = rt.call_id(api, &[cur]).map_err(|e| e.to_string())?;
+                        let name = &filters[*p as usize % filters.len()];
+                        cur = rt.call(name, &[cur]).map_err(|e| e.to_string())?;
                     }
                     rt.fetch_bytes(cur.as_obj().unwrap())
                         .map_err(|e| e.to_string())
@@ -356,7 +355,15 @@ proptest! {
             ..Policy::freepart_supervised()
         });
         prop_assert_eq!(&got, &want, "outputs diverged under crashes");
-        prop_assert_eq!(art.call_log(), srt.call_log(), "call journal diverged");
+        let calls = |rt: &Runtime| -> Vec<_> {
+            rt.tracer()
+                .events()
+                .iter()
+                .filter(|e| e.phase == SpanPhase::Call)
+                .map(|e| e.api)
+                .collect()
+        };
+        prop_assert_eq!(calls(&art), calls(&srt), "call sequence diverged");
         prop_assert_eq!(art.stats().restarts, srt.stats().restarts);
         if crashes.iter().any(|c| *c) {
             prop_assert!(art.stats().restarts > 0, "crashes really happened");

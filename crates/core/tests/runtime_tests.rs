@@ -469,7 +469,6 @@ fn stats_and_metrics_accumulate() {
     let m = rt.kernel.metrics();
     assert!(m.ipc_messages >= 4, "2 requests + 2 responses");
     assert!(rt.kernel.clock().now_ns() > 0);
-    assert_eq!(rt.call_log().len(), 2);
 }
 
 #[test]
