@@ -63,7 +63,8 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
 
     // Every hooked call is deferred: the mission threads results through
     // without waiting, so a batching policy coalesces same-partition
-    // calls; `self.speed` is host-resident, so reading it flushes nothing.
+    // calls (any other call retires at once); `self.speed` is
+    // host-resident, so reading it flushes nothing.
     let capture = match surface.call_deferred("cv2.VideoCapture", &[Value::I64(0)]) {
         Ok(c) => c,
         Err(_) => {
@@ -133,7 +134,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &DroneConfig) -> DroneResult {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use freepart::{Policy, Runtime};
     use freepart_attacks::payloads;
@@ -202,7 +203,7 @@ pub(crate) mod tests {
 
     /// A DoS frame under `policy` costs that one frame; the control loop
     /// keeps steering.
-    pub(crate) fn check_survives_dos(name: &str, policy: Policy) {
+    fn check_survives_dos(name: &str, policy: Policy) {
         let cfg = DroneConfig {
             frames: 5,
             evil_frame: Some((2, payloads::dos("CVE-2017-14136"))),
@@ -219,7 +220,7 @@ pub(crate) mod tests {
 
     /// Under `policy`, the write that flips `self.speed` lands in the
     /// loading agent's address space and faults; steering stays positive.
-    pub(crate) fn check_speed_corruption_is_contained(name: &str, policy: Policy) {
+    fn check_speed_corruption_is_contained(name: &str, policy: Policy) {
         // The probe runs under the same policy: host_data placement is
         // identical, so the attacker aims at the same buffer address.
         let addr = {

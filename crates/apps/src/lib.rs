@@ -11,11 +11,13 @@
 //!   The OMR and drone missions submit through
 //!   `ApiSurface::call_deferred`, so one driver serves every scheme and
 //!   every FreePart policy: batched, adaptive, and composed runs differ
-//!   from the default only in their `Policy`.
+//!   from the default only in their `Policy`. A deferred call stays in
+//!   flight only while an open batch holds it, so under an unbatched
+//!   policy the mission is the synchronous one, record for record.
 //! * [`pipeline`]: the pipelined (asynchronous, per-process virtual
 //!   time) drone driver.
 //! * [`mixes`]: the adversarial workload mixes behind the adaptive
-//!   policy-controller benchmark.
+//!   policy-controller benchmark, driven the same way.
 //! * [`study`]: the 56-application survey corpus behind Study 1,
 //!   Fig. 6, and Table 3.
 
@@ -58,69 +60,4 @@ pub(crate) fn freepart_policies() -> [(&'static str, freepart::Policy); 5] {
 #[cfg(test)]
 pub(crate) fn batches(policy: &freepart::Policy) -> bool {
     policy.batch_window.is_some()
-}
-
-/// The batching presets' mission checks, one preset per test. Each test
-/// feeds its preset to a shared check in [`omr`] or [`drone`], the same
-/// `run` as every other scheme.
-#[cfg(test)]
-mod batched {
-    mod tests {
-        use crate::{drone::tests as drone, omr::tests as omr};
-        use freepart::Policy;
-
-        #[test]
-        fn batched_omr_scores_are_byte_identical_to_sync() {
-            let policy = Policy::freepart_batched();
-            assert!(crate::batches(&policy));
-            omr::check_grades_like_the_original("freepart_batched", policy);
-        }
-
-        #[test]
-        fn dos_attack_verdict_is_unchanged_under_batching() {
-            drone::check_survives_dos("freepart_batched", Policy::freepart_batched());
-        }
-
-        #[test]
-        fn speed_corruption_verdict_is_unchanged_under_batching() {
-            let policy = Policy::freepart_batched();
-            drone::check_speed_corruption_is_contained("freepart_batched", policy);
-        }
-
-        #[test]
-        fn omr_dos_attack_is_contained_under_batching() {
-            omr::check_dos_is_contained("freepart_batched", Policy::freepart_batched());
-        }
-
-        #[test]
-        fn full_policy_omr_is_byte_identical_and_composes_every_mechanism() {
-            let policy = Policy::freepart_full();
-            assert!(crate::batches(&policy));
-            assert!(policy.shm_threshold.is_some() && policy.warm_spares > 0);
-            omr::check_grades_like_the_original("freepart_full", policy);
-        }
-
-        #[test]
-        fn full_policy_dos_restart_adopts_a_warm_spare() {
-            let policy = Policy::freepart_full();
-            assert!(policy.warm_spares > 0);
-            omr::check_dos_is_contained("freepart_full", policy);
-        }
-
-        #[test]
-        fn dos_attack_verdict_is_unchanged_under_the_adaptive_policy() {
-            drone::check_survives_dos("freepart_adaptive", Policy::freepart_adaptive());
-        }
-
-        #[test]
-        fn speed_corruption_verdict_is_unchanged_under_the_adaptive_policy() {
-            let policy = Policy::freepart_adaptive();
-            drone::check_speed_corruption_is_contained("freepart_adaptive", policy);
-        }
-
-        #[test]
-        fn omr_dos_attack_is_contained_under_the_adaptive_policy() {
-            omr::check_dos_is_contained("freepart_adaptive", Policy::freepart_adaptive());
-        }
-    }
 }

@@ -12,16 +12,15 @@
 //! preset while producing byte-identical digests.
 //!
 //! Like [`crate::omr::run`], the driver submits through
-//! `ApiSurface::call_deferred` (`call_async` + `promise`, retiring only
-//! at [`Runtime::drain_inflight`]) so same-partition bursts can coalesce
-//! when a batch window — static or controller-picked — is open. Under
-//! an unbatched policy the identical call sequence simply rides one
-//! frame per call. Either way the digest is a pure function of the mix,
-//! never of the policy.
+//! `ApiSurface::call_deferred`, so same-partition bursts coalesce when
+//! a batch window — static or controller-picked — is open: a call stays
+//! in flight only while the open batch holds it. Under an unbatched
+//! policy every call retires at once, one frame per call. Either way
+//! the digest is a pure function of the mix, never of the policy.
 //!
 //! [`Policy::freepart_adaptive`]: freepart::Policy::freepart_adaptive
 
-use freepart::{CallError, Runtime};
+use freepart::CallError;
 use freepart_baselines::ApiSurface;
 use freepart_frameworks::image::Image;
 use freepart_frameworks::{fileio, Value};
@@ -89,10 +88,9 @@ pub struct MixResult {
     pub errors: Vec<CallError>,
 }
 
-/// Submits one hooked call asynchronously and peeks at its outcome
-/// without retiring it.
+/// Submits one deferred hooked call, recording a failure.
 fn acall(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     name: &str,
     args: &[Value],
@@ -116,7 +114,7 @@ fn frame(round: u32, side: u32) -> Image {
 }
 
 fn detect(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     target: &Value,
@@ -131,14 +129,14 @@ fn detect(
 }
 
 fn chatty_round(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     round: u32,
     draws: u32,
 ) -> bool {
     let path = format!("/mix/chat-{round}.simg");
-    rt.kernel
+    rt.kernel_mut()
         .fs_put(&path, fileio::encode_image(&frame(round, 8), None));
     let Some(loaded) = acall(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
@@ -190,14 +188,14 @@ fn chatty_round(
 }
 
 fn bulk_round(
-    rt: &mut Runtime,
+    rt: &mut dyn ApiSurface,
     errors: &mut Vec<CallError>,
     digest: &mut Vec<f64>,
     round: u32,
     side: u32,
 ) -> bool {
     let path = format!("/mix/bulk-{round}.simg");
-    rt.kernel
+    rt.kernel_mut()
         .fs_put(&path, fileio::encode_image(&frame(round, side), None));
     let Some(img) = acall(rt, errors, "cv2.imread", &[Value::Str(path)]) else {
         return false;
@@ -215,9 +213,9 @@ fn bulk_round(
     true
 }
 
-/// Runs `mix` through the asynchronous submission interface and
-/// returns its policy-independent digest.
-pub fn run_mix(rt: &mut Runtime, mix: &Mix) -> MixResult {
+/// Runs `mix` through deferred submission and returns its
+/// policy-independent digest.
+pub fn run_mix(rt: &mut dyn ApiSurface, mix: &Mix) -> MixResult {
     let mut errors = Vec::new();
     let mut digest = Vec::new();
     let mut completed = 0;

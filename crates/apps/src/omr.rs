@@ -283,7 +283,7 @@ pub fn run(surface: &mut dyn ApiSurface, cfg: &OmrConfig) -> OmrResult {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use freepart::{Policy, Runtime};
     use freepart_attacks::{judge, AttackGoal, Verdict};
@@ -320,7 +320,7 @@ pub(crate) mod tests {
     /// `policy` grades exactly like the original, and the preset's
     /// mechanism really engages: batching cuts frames, shm transport
     /// grants segments, supervision pools warm spares.
-    pub(crate) fn check_grades_like_the_original(name: &str, policy: Policy) {
+    fn check_grades_like_the_original(name: &str, policy: Policy) {
         let want = run(
             &mut MonolithicRuntime::original(standard_registry()),
             &OmrConfig::benign(6),
@@ -363,7 +363,7 @@ pub(crate) mod tests {
 
     /// A DoS submission under `policy` costs one agent restart and that
     /// one submission; with warm spares, the restart adopts a spare.
-    pub(crate) fn check_dos_is_contained(name: &str, policy: Policy) {
+    fn check_dos_is_contained(name: &str, policy: Policy) {
         let cfg = OmrConfig {
             samples: 4,
             boxes_per_sample: 2,

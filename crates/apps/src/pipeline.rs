@@ -282,23 +282,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shm_transport_issues_the_same_commands_as_ldc() {
-        let policy = Policy::freepart_shm();
-        assert!(policy.shm_threshold.is_some());
-        check_same_commands_as_sync("freepart_shm", policy);
-    }
-
-    #[test]
-    fn speed_corruption_verdict_is_unchanged_on_shm_transport() {
-        check_speed_corruption_is_contained("freepart_shm", Policy::freepart_shm());
-    }
-
-    #[test]
-    fn dos_attack_verdict_is_unchanged_on_shm_transport() {
-        check_survives_dos("freepart_shm", Policy::freepart_shm());
-    }
-
     /// A recorded pipelined DoS run replays from its commit log alone:
     /// the camera attach and the crafted frame both go through logged
     /// kernel entry points.

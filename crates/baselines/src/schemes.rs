@@ -104,7 +104,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 host_data: HostDataPlacement::WithType(ApiType::DataLoading),
                 ..Policy::default()
             });
-            Box::new(Named(Runtime::install(reg, policy)))
+            Box::new(Runtime::install(reg, policy))
         }
         SchemeKind::CodeApiData => {
             let policy = baseline_common(Policy {
@@ -115,7 +115,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 transport: ChannelTransport::Pipe,
                 ..Policy::default()
             });
-            Box::new(Named(Runtime::install(reg, policy)))
+            Box::new(Runtime::install(reg, policy))
         }
         SchemeKind::LibraryEntire => {
             let policy = baseline_common(Policy {
@@ -125,7 +125,7 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 host_data: HostDataPlacement::Host,
                 ..Policy::default()
             });
-            Box::new(Named(Runtime::install(reg, policy)))
+            Box::new(Runtime::install(reg, policy))
         }
         SchemeKind::LibraryPerApi => {
             let plan = PartitionPlan::per_api(app_universe.iter().copied(), &reg);
@@ -137,81 +137,9 @@ pub fn build(kind: SchemeKind, reg: ApiRegistry, app_universe: &[ApiId]) -> Box<
                 transport: ChannelTransport::Pipe,
                 ..Policy::default()
             });
-            Box::new(Named(Runtime::install(reg, policy)))
+            Box::new(Runtime::install(reg, policy))
         }
         SchemeKind::FreePart => Box::new(Runtime::install(reg, Policy::freepart())),
-    }
-}
-
-/// Drives a [`Runtime`] synchronously: every [`ApiSurface`] call,
-/// `call_deferred` included, retires before it returns.
-pub struct Named(pub Runtime);
-
-impl ApiSurface for Named {
-    fn call(
-        &mut self,
-        name: &str,
-        args: &[freepart_frameworks::Value],
-    ) -> Result<freepart_frameworks::Value, freepart::CallError> {
-        self.0.call(name, args)
-    }
-    fn host_data(&mut self, label: &str, bytes: &[u8]) -> freepart_frameworks::ObjectId {
-        self.0.host_data(label, bytes)
-    }
-    fn create_object(
-        &mut self,
-        kind: freepart_frameworks::ObjectKind,
-        label: &str,
-        bytes: &[u8],
-    ) -> freepart_frameworks::ObjectId {
-        self.0.host_object(kind, label, bytes)
-    }
-    fn fetch_bytes(
-        &mut self,
-        id: freepart_frameworks::ObjectId,
-    ) -> Result<Vec<u8>, freepart::CallError> {
-        self.0.fetch_bytes(id)
-    }
-    fn kernel_mut(&mut self) -> &mut freepart_simos::Kernel {
-        &mut self.0.kernel
-    }
-    fn kernel(&self) -> &freepart_simos::Kernel {
-        &self.0.kernel
-    }
-    fn objects(&self) -> &freepart_frameworks::ObjectStore {
-        &self.0.objects
-    }
-    fn host_pid(&self) -> freepart_simos::Pid {
-        self.0.host_pid()
-    }
-    fn exploit_log(&self) -> &[freepart_frameworks::ActionReport] {
-        &self.0.exploit_log
-    }
-    fn attack_view(
-        &mut self,
-    ) -> (
-        &mut freepart_simos::Kernel,
-        &freepart_frameworks::ObjectStore,
-        freepart_simos::Pid,
-    ) {
-        let host = self.0.host_pid();
-        (&mut self.0.kernel, &self.0.objects, host)
-    }
-    fn code_target(&mut self) -> u64 {
-        let imread = self
-            .0
-            .registry()
-            .id_of("cv2.imread")
-            .expect("catalog has imread");
-        let partition = self.0.partition_of(imread);
-        self.0
-            .agent(partition)
-            .expect("loading agent exists")
-            .code_page
-            .0
-    }
-    fn process_count(&self) -> usize {
-        self.0.kernel.process_count()
     }
 }
 

@@ -18,9 +18,15 @@ pub trait ApiSurface {
     fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError>;
 
     /// Invokes a framework API whose response the application does not
-    /// need retired yet: schemes that coalesce calls (FreePart's batch
-    /// window) may leave it in flight until [`ApiSurface::drain_inflight`].
-    /// Results are those of [`ApiSurface::call`]. Default: `call`.
+    /// need retired yet: a scheme that coalesces calls (FreePart's batch
+    /// window) leaves it in flight while its open batch holds it, at
+    /// most until [`ApiSurface::drain_inflight`]; every other call
+    /// retires at once. Results are those of [`ApiSurface::call`].
+    /// Default: `call`.
+    ///
+    /// Deferral is for coalescing frames only. Overlap in per-process
+    /// virtual time stays the job of `Runtime::call_async` and
+    /// `Runtime::wait`; no driver defers under pipelining.
     ///
     /// # Errors
     ///
@@ -95,11 +101,8 @@ impl ApiSurface for Runtime {
         Runtime::call(self, name, args)
     }
 
-    /// Submits asynchronously and peeks at the eagerly computed result
-    /// without consuming the response, so same-partition calls can keep
-    /// filling an open batch.
     fn call_deferred(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
-        self.call_async(name, args).and_then(|h| self.promise(h))
+        Runtime::call_deferred(self, name, args)
     }
 
     fn drain_inflight(&mut self) {

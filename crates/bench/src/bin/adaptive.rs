@@ -27,7 +27,7 @@ use freepart_apps::omr;
 use freepart_baselines::{build, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
-use freepart_bench::{fast_install, workspace_root, Table};
+use freepart_bench::{fast_install, write_artifact, Table};
 use freepart_frameworks::registry::standard_registry;
 
 /// One policy × mix measurement.
@@ -189,7 +189,6 @@ fn main() {
         "  ],\n  \"omr\": {{\"original_ns\": {original_ns}, \"adaptive_ns\": {adaptive_ns}, \
          \"overhead\": {overhead:.6}}}\n}}\n"
     ));
-    let out = workspace_root().join("BENCH_adaptive.json");
-    std::fs::write(&out, &json).expect("write BENCH_adaptive.json");
-    println!("wrote {}", out.display());
+    write_artifact("BENCH_adaptive.json", &json);
+    println!("wrote BENCH_adaptive.json");
 }

@@ -25,6 +25,7 @@ fn main() {
         "security_analysis",
         "case_studies",
         "ablations",
+        "freepart-report",
     ];
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");

@@ -28,7 +28,7 @@ use freepart_apps::drone::{self, DroneConfig};
 use freepart_apps::tenants::{run_chains_interleaved, stage_input};
 use freepart_attacks::payloads;
 use freepart_bench::experiments::fast_install;
-use freepart_bench::{workspace_root, Table};
+use freepart_bench::{write_artifact, Table};
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step;
 use freepart_simos::replay::{audit, replay};
@@ -326,7 +326,6 @@ fn main() {
     );
 
     let json = to_json(&rows, &throughput, scaling);
-    let out = workspace_root().join("BENCH_replay.json");
-    std::fs::write(&out, &json).expect("write BENCH_replay.json");
-    println!("wrote {} ({} scenarios)", out.display(), rows.len());
+    write_artifact("BENCH_replay.json", &json);
+    println!("wrote BENCH_replay.json ({} scenarios)", rows.len());
 }

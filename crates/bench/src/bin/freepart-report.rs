@@ -19,11 +19,10 @@
 
 use freepart::{FlushReason, Policy, Runtime, SpanEvent, SpanPhase, Tracer};
 use freepart_apps::{drone, omr};
-use freepart_baselines::schemes::Named;
 use freepart_baselines::{build, ApiSurface, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
-use freepart_bench::{drone_workload, fast_install, workspace_root, Table};
+use freepart_bench::{drone_workload, fast_install, write_artifact, Table};
 use freepart_frameworks::registry::standard_registry;
 
 /// Virtual time of one full OMR run on a fresh surface.
@@ -82,17 +81,11 @@ fn main() {
     let t_fp_untraced = omr_time(&mut untraced);
 
     // ---- traced FreePart run ----
-    // Driven through `Named`, whose `call_deferred` is the plain `call`:
-    // every call retires at once, so each response span covers only its
-    // own leg, which is what the decomposition sums. A deferred call's
-    // span would also cover the calls that overtake it, at the same
-    // virtual time, as the untraced (deferred) run checks.
-    let mut traced = Named(traced_freepart());
-    let t_fp = omr_time(&mut traced);
-    let rt = traced.0;
+    let mut rt = traced_freepart();
+    let t_fp = omr_time(&mut rt);
     assert_eq!(
         t_fp, t_fp_untraced,
-        "neither tracing nor deferral may perturb the virtual clock"
+        "tracing must not perturb the virtual clock"
     );
 
     // ---- overhead decomposition ----
@@ -308,11 +301,9 @@ fn main() {
         "no flush-reason instants in the batched drone trace"
     );
     let trace = rt.export_chrome_trace();
-    let out = workspace_root().join("BENCH_trace.json");
-    std::fs::write(&out, &trace).expect("write BENCH_trace.json");
+    write_artifact("BENCH_trace.json", &trace);
     println!(
-        "\nwrote {} ({} span events, {} partitions + host; load it in Perfetto)",
-        out.display(),
+        "\nwrote BENCH_trace.json ({} span events, {} partitions + host; load it in Perfetto)",
         rt.tracer().events().len(),
         rt.partition_labels().len()
     );

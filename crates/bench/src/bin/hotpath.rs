@@ -19,7 +19,7 @@ use freepart_apps::{drone, omr};
 use freepart_baselines::{build, ApiSurface, SchemeKind};
 use freepart_bench::experiments::omr_workload;
 use freepart_bench::fmt::pct;
-use freepart_bench::{drone_universe, drone_workload, fast_install, workspace_root, Table};
+use freepart_bench::{drone_universe, drone_workload, fast_install, write_artifact, Table};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::registry::standard_registry;
 
@@ -230,7 +230,6 @@ fn main() {
     }
 
     let json = to_json(&rows);
-    let out = workspace_root().join("BENCH_hotpath.json");
-    std::fs::write(&out, &json).expect("write BENCH_hotpath.json");
-    println!("wrote {} ({} runs)", out.display(), rows.len());
+    write_artifact("BENCH_hotpath.json", &json);
+    println!("wrote BENCH_hotpath.json ({} runs)", rows.len());
 }

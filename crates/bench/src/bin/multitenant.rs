@@ -31,7 +31,7 @@ use freepart::{CallError, Policy, TenantId};
 use freepart_apps::tenants::{
     chain_len, run_chain_on, run_chain_pooled, run_chains_interleaved, stage_input,
 };
-use freepart_bench::{fast_install, workspace_root, Table};
+use freepart_bench::{fast_install, write_artifact, Table};
 use freepart_frameworks::Value;
 use freepart_simos::replay::replay;
 use freepart_simos::CommitOp;
@@ -437,7 +437,6 @@ fn main() {
     );
 
     let json = to_json(&rows, fairness, &leak);
-    let out = workspace_root().join("BENCH_multitenant.json");
-    std::fs::write(&out, &json).expect("write BENCH_multitenant.json");
-    println!("wrote {} ({} scales)", out.display(), rows.len());
+    write_artifact("BENCH_multitenant.json", &json);
+    println!("wrote BENCH_multitenant.json ({} scales)", rows.len());
 }

@@ -17,7 +17,7 @@
 
 use freepart::trace::json_escape;
 use freepart_bench::fmt::pct;
-use freepart_bench::{pipeline_comparison, workspace_root, PipelineRun, Table};
+use freepart_bench::{pipeline_comparison, write_artifact, PipelineRun, Table};
 
 const FRAMES: u32 = 30;
 
@@ -81,7 +81,6 @@ fn main() {
     println!("\npipelined vs sequential FreePart: {speedup:.3}x ✓");
 
     let json = to_json(&rows, speedup);
-    let out = workspace_root().join("BENCH_pipeline.json");
-    std::fs::write(&out, &json).expect("write BENCH_pipeline.json");
-    println!("wrote {} ({} runs)", out.display(), rows.len());
+    write_artifact("BENCH_pipeline.json", &json);
+    println!("wrote BENCH_pipeline.json ({} runs)", rows.len());
 }

@@ -23,7 +23,7 @@
 
 use freepart::{Policy, RestartBudget, Runtime};
 use freepart_apps::storm::{judge_crash_storm, StormConfig};
-use freepart_bench::{fast_install, workspace_root, Table};
+use freepart_bench::{fast_install, write_artifact, Table};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::{fileio, image::Image, Value};
 use freepart_simos::{Camera, FaultKind};
@@ -210,7 +210,6 @@ fn main() {
         verdicts.latency_bounded.prevented(),
         verdicts.dos_detected.prevented(),
     );
-    let out = workspace_root().join("BENCH_restart.json");
-    std::fs::write(&out, &json).expect("write BENCH_restart.json");
-    println!("wrote {}", out.display());
+    write_artifact("BENCH_restart.json", &json);
+    println!("wrote BENCH_restart.json");
 }

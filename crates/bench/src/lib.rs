@@ -27,13 +27,16 @@ pub use experiments::{
 };
 pub use fmt::Table;
 
-/// The workspace root, resolved at compile time from this crate's
-/// manifest (`crates/bench` → two levels up). Bench binaries write
-/// their `BENCH_*.json` artifacts here so results land in the same
-/// place no matter what directory the bench is invoked from.
-pub fn workspace_root() -> &'static std::path::Path {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// Writes the bench artifact `name` (a `BENCH_*.json` file) at the
+/// workspace root, resolved at compile time from this crate's manifest
+/// (`crates/bench` → two levels up), so it lands in the same place no
+/// matter what directory the bench is invoked from. The bins print
+/// `name` as it is, relative to the root, so their stdout does not
+/// depend on where the checkout lives.
+pub fn write_artifact(name: &str, body: &str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("crates/bench sits two levels below the workspace root")
+        .expect("crates/bench sits two levels below the workspace root");
+    std::fs::write(root.join(name), body).unwrap_or_else(|e| panic!("write {name}: {e}"));
 }

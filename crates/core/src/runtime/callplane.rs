@@ -129,6 +129,23 @@ impl Runtime {
         self.wait(handle)
     }
 
+    /// Calls a framework API on the main thread, leaving it in flight
+    /// only while the open batch holds it: a call that joined the batch
+    /// is peeked at with [`Runtime::promise`] so the next same-partition
+    /// call can coalesce with it, and any other call (or a batch that
+    /// just flushed full) retires at once, exactly like [`Runtime::call`].
+    ///
+    /// # Errors
+    ///
+    /// See [`CallError`].
+    pub fn call_deferred(&mut self, name: &str, args: &[Value]) -> Result<Value, CallError> {
+        let handle = self.call_async(name, args)?;
+        match self.inflight.get(&handle.0) {
+            Some(inf) if inf.frames.is_some() => self.promise(handle),
+            _ => self.wait(handle),
+        }
+    }
+
     // ------------------------------------------------------------------
     // The asynchronous call interface
     // ------------------------------------------------------------------

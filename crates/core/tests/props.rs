@@ -36,14 +36,26 @@ fn run_monolithic(picks: &[u16], side: u32) -> Vec<u8> {
     ctx.objects.read_bytes(ctx.kernel, id).unwrap()
 }
 
+/// How a transparency run drives the chain.
+#[derive(Clone, Copy, PartialEq)]
+enum Drive {
+    /// `call`: every call retires before the next one.
+    Sync,
+    /// `call_async` + `promise` (which never retires, so batch windows,
+    /// static or controller-opened, actually fill), one drain at the end.
+    Async,
+    /// As `Async`, on per-process virtual timelines.
+    Pipelined,
+}
+
 /// Runs the same chain under full FreePart isolation.
 fn run_freepart(picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
-    run_freepart_with(Policy::freepart(), picks, side)
+    run_freepart_with(Policy::freepart(), Drive::Sync, picks, side)
 }
 
-/// Runs the same chain under FreePart with an explicit policy (used to
-/// sweep the payload transports: eager, lazy, shm, mixed).
-fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
+/// Runs the same chain under FreePart with an explicit policy, driven
+/// the way `drive` says.
+fn run_freepart_with(policy: Policy, drive: Drive, picks: &[u16], side: u32) -> (Vec<u8>, Runtime) {
     let reg = standard_registry();
     let filters: Vec<_> = reg
         .iter()
@@ -55,47 +67,19 @@ fn run_freepart_with(policy: Policy, picks: &[u16], side: u32) -> (Vec<u8>, Runt
         "/in.simg",
         fileio::encode_image(&Image::new(side, side, 3), None),
     );
-    let mut cur = rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
-    for p in picks {
-        let name = &filters[*p as usize % filters.len()];
-        cur = rt.call(name, &[cur]).unwrap();
-    }
-    let bytes = rt.fetch_bytes(cur.as_obj().unwrap()).unwrap();
-    (bytes, rt)
-}
-
-/// Runs the same chain through the asynchronous interface under
-/// `policy`: handles threaded through `promise` (which never retires,
-/// so batch windows, static or controller-opened, actually fill), one
-/// drain at the end. `pipelining` switches to per-process virtual time.
-fn run_freepart_async(
-    policy: Policy,
-    pipelining: bool,
-    picks: &[u16],
-    side: u32,
-) -> (Vec<u8>, Runtime) {
-    let reg = standard_registry();
-    let filters: Vec<_> = reg
-        .iter()
-        .filter(|s| matches!(s.kind, ApiKind::Filter(_)))
-        .map(|s| s.name.clone())
-        .collect();
-    let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.fs.put(
-        "/in.simg",
-        fileio::encode_image(&Image::new(side, side, 3), None),
-    );
-    if pipelining {
+    if drive == Drive::Pipelined {
         rt.enable_pipelining();
     }
-    let h = rt
-        .call_async("cv2.imread", &[Value::from("/in.simg")])
-        .unwrap();
-    let mut cur = rt.promise(h).unwrap();
+    let call = |rt: &mut Runtime, name: &str, arg: Value| match drive {
+        Drive::Sync => rt.call(name, &[arg]).unwrap(),
+        Drive::Async | Drive::Pipelined => {
+            let h = rt.call_async(name, &[arg]).unwrap();
+            rt.promise(h).unwrap()
+        }
+    };
+    let mut cur = call(&mut rt, "cv2.imread", Value::from("/in.simg"));
     for p in picks {
-        let name = &filters[*p as usize % filters.len()];
-        let h = rt.call_async(name, &[cur]).unwrap();
-        cur = rt.promise(h).unwrap();
+        cur = call(&mut rt, &filters[*p as usize % filters.len()], cur);
     }
     rt.drain_inflight();
     let bytes = rt.fetch_bytes(cur.as_obj().unwrap()).unwrap();
@@ -108,6 +92,18 @@ fn with_window(base: Policy, window: usize) -> Policy {
         batch_window: Some(window),
         ..base
     }
+}
+
+/// System-stability invariants of any benign run: host and agents
+/// running, no exploit, no restart, no filter kill.
+fn assert_stable(rt: &Runtime) {
+    assert!(rt.kernel.is_running(rt.host_pid()));
+    for p in rt.partitions() {
+        assert!(rt.kernel.is_running(rt.agent(p).unwrap().pid));
+    }
+    assert!(rt.exploit_log.is_empty());
+    assert_eq!(rt.stats().restarts, 0);
+    assert_eq!(rt.kernel.metrics().filter_kills, 0, "no benign call killed");
 }
 
 proptest! {
@@ -123,14 +119,7 @@ proptest! {
         let mono = run_monolithic(&picks, side);
         let (fp, rt) = run_freepart(&picks, side);
         prop_assert_eq!(mono, fp);
-        // System-stability invariants, for any pipeline:
-        prop_assert!(rt.kernel.is_running(rt.host_pid()));
-        for p in rt.partitions() {
-            prop_assert!(rt.kernel.is_running(rt.agent(p).unwrap().pid));
-        }
-        prop_assert!(rt.exploit_log.is_empty());
-        prop_assert_eq!(rt.stats().restarts, 0);
-        prop_assert_eq!(rt.kernel.metrics().filter_kills, 0, "no benign call killed");
+        assert_stable(&rt);
     }
 
     /// Pipelining transparency: for any random filter chain, the
@@ -144,17 +133,12 @@ proptest! {
     ) {
         let mono = run_monolithic(&picks, side);
         let (sync_bytes, _) = run_freepart(&picks, side);
-        let (async_bytes, rt) = run_freepart_async(Policy::freepart(), true, &picks, side);
+        let (async_bytes, rt) =
+            run_freepart_with(Policy::freepart(), Drive::Pipelined, &picks, side);
         prop_assert_eq!(&async_bytes, &sync_bytes);
         prop_assert_eq!(&async_bytes, &mono);
         prop_assert_eq!(rt.in_flight(), 0, "chain ends fully drained");
-        prop_assert!(rt.kernel.is_running(rt.host_pid()));
-        for p in rt.partitions() {
-            prop_assert!(rt.kernel.is_running(rt.agent(p).unwrap().pid));
-        }
-        prop_assert!(rt.exploit_log.is_empty());
-        prop_assert_eq!(rt.stats().restarts, 0);
-        prop_assert_eq!(rt.kernel.metrics().filter_kills, 0, "no benign call killed");
+        assert_stable(&rt);
     }
 
     /// Transport transparency: for any random filter chain, the choice
@@ -168,29 +152,26 @@ proptest! {
         side in 4u32..16,
     ) {
         let mono = run_monolithic(&picks, side);
-        let (lazy, _) = run_freepart_with(Policy::freepart(), &picks, side);
-        let (eager, _) = run_freepart_with(Policy::without_ldc(), &picks, side);
         let shm_everything = Policy {
             shm_threshold: Some(1),
             ..Policy::freepart()
         };
-        let (shm, shm_rt) = run_freepart_with(shm_everything, &picks, side);
-        let (mixed, _) = run_freepart_with(Policy::freepart_shm(), &picks, side);
-        prop_assert_eq!(&lazy, &mono);
-        prop_assert_eq!(&eager, &mono);
-        prop_assert_eq!(&shm, &mono);
-        prop_assert_eq!(&mixed, &mono);
-        // The all-shm run really exercised the segment path…
-        prop_assert!(shm_rt.stats().shm_grants > 0, "shm transport engaged");
-        prop_assert!(shm_rt.stats().shm_mapped_bytes > 0);
-        // …and stayed stable.
-        prop_assert!(shm_rt.kernel.is_running(shm_rt.host_pid()));
-        for p in shm_rt.partitions() {
-            prop_assert!(shm_rt.kernel.is_running(shm_rt.agent(p).unwrap().pid));
+        for policy in [
+            Policy::freepart(),
+            Policy::without_ldc(),
+            shm_everything,
+            Policy::freepart_shm(),
+        ] {
+            let all_shm = policy.shm_threshold == Some(1);
+            let (bytes, rt) = run_freepart_with(policy, Drive::Sync, &picks, side);
+            prop_assert_eq!(&bytes, &mono);
+            assert_stable(&rt);
+            // The all-shm run really exercised the segment path.
+            if all_shm {
+                prop_assert!(rt.stats().shm_grants > 0, "shm transport engaged");
+                prop_assert!(rt.stats().shm_mapped_bytes > 0);
+            }
         }
-        prop_assert!(shm_rt.exploit_log.is_empty());
-        prop_assert_eq!(shm_rt.stats().restarts, 0);
-        prop_assert_eq!(shm_rt.kernel.metrics().filter_kills, 0, "no benign call killed");
     }
 
     /// Batching transparency: for any random filter chain, any batch
@@ -206,8 +187,9 @@ proptest! {
     ) {
         let mono = run_monolithic(&picks, side);
         for base in [Policy::freepart(), Policy::without_ldc(), Policy::freepart_shm()] {
-            let (unbatched, urt) = run_freepart_with(base.clone(), &picks, side);
-            let (batched, rt) = run_freepart_async(with_window(base, window), false, &picks, side);
+            let (unbatched, urt) = run_freepart_with(base.clone(), Drive::Sync, &picks, side);
+            let (batched, rt) =
+                run_freepart_with(with_window(base, window), Drive::Async, &picks, side);
             prop_assert_eq!(&batched, &unbatched);
             prop_assert_eq!(&batched, &mono);
             prop_assert_eq!(rt.in_flight(), 0, "chain ends fully drained");
@@ -217,13 +199,7 @@ proptest! {
                 m.ipc_messages <= urt.kernel.metrics().ipc_messages,
                 "batching must never send more frames"
             );
-            prop_assert!(rt.kernel.is_running(rt.host_pid()));
-            for p in rt.partitions() {
-                prop_assert!(rt.kernel.is_running(rt.agent(p).unwrap().pid));
-            }
-            prop_assert!(rt.exploit_log.is_empty());
-            prop_assert_eq!(rt.stats().restarts, 0);
-            prop_assert_eq!(m.filter_kills, 0, "no benign call killed");
+            assert_stable(&rt);
         }
     }
 
@@ -274,14 +250,14 @@ proptest! {
     ) {
         let mono = run_monolithic(&picks, side);
         let (static_ref, _) =
-            run_freepart_async(with_window(Policy::freepart(), window), false, &picks, side);
+            run_freepart_with(with_window(Policy::freepart(), window), Drive::Async, &picks, side);
         let policy = Policy {
             adaptive: true,
             batch_window: Some(window),
             shm_threshold: Some(threshold),
             ..Policy::freepart()
         };
-        let (adaptive, rt) = run_freepart_async(policy, false, &picks, side);
+        let (adaptive, rt) = run_freepart_with(policy, Drive::Async, &picks, side);
         prop_assert_eq!(&adaptive, &static_ref);
         prop_assert_eq!(&adaptive, &mono);
         prop_assert_eq!(rt.in_flight(), 0, "chain ends fully drained");
@@ -289,13 +265,7 @@ proptest! {
             !rt.tracer().policy_decisions().is_empty(),
             "controller must reach a decision point"
         );
-        prop_assert!(rt.kernel.is_running(rt.host_pid()));
-        for p in rt.partitions() {
-            prop_assert!(rt.kernel.is_running(rt.agent(p).unwrap().pid));
-        }
-        prop_assert!(rt.exploit_log.is_empty());
-        prop_assert_eq!(rt.stats().restarts, 0);
-        prop_assert_eq!(rt.kernel.metrics().filter_kills, 0, "no benign call killed");
+        assert_stable(&rt);
     }
 
     /// Adaptive + supervision under crash storms: with the same crash
