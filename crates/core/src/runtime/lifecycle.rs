@@ -9,15 +9,16 @@
 //! token-bucket budget turns respawn loops into an audited, fail-fast
 //! degraded partition.
 
+use super::transport::map_view;
 use super::{Agent, RestartGovernor, Runtime, SnapshotEntry, SnapshotPlace, ThreadId};
 use crate::partition::PartitionId;
 use crate::policy::SandboxLevel;
 use crate::syscall_policy::build_filter;
 use crate::trace::{AuditRecord, SpanEvent, SpanPhase};
 use freepart_frameworks::api::ApiId;
-use freepart_frameworks::{ObjectId, ObjectKind, ObjectMeta};
+use freepart_frameworks::{ObjectId, ObjectMeta};
 use freepart_simos::{FaultKind, Perms, Pid, ProcessState};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 impl Runtime {
     /// Installs and locks the partition's syscall filter (§4.4.1): the
@@ -113,41 +114,24 @@ impl Runtime {
             return;
         };
         let pid = agent.pid;
-        let stateful: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .filter(|m| {
-                m.home == pid
-                    && matches!(
-                        m.kind,
-                        ObjectKind::Capture { .. }
-                            | ObjectKind::Model { .. }
-                            | ObjectKind::Classifier { .. }
-                    )
-            })
-            .map(|m| m.id)
-            .collect();
-        let incremental = self.policy.incremental_snapshots;
-        let prev: Vec<SnapshotEntry> = if incremental {
-            self.snapshots.get(&partition).cloned().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let mut entries = Vec::new();
-        for id in stateful {
-            let meta = self.objects.meta(id).expect("listed above").clone();
-            let place = self.snapshot_place(&meta);
-            let clean_bytes = if incremental && place != SnapshotPlace::None {
-                prev.iter()
-                    .find(|p| p.object == id && p.home == pid && p.place == place)
-                    .map(|p| p.bytes.clone())
-            } else {
-                None
+        // Clean entries move from the previous table into the new one.
+        let mut prev = self.snapshots.remove(&partition).unwrap_or_default();
+        let mut table = BTreeMap::new();
+        for &id in self.objects.stateful() {
+            let Some(meta) = self.objects.meta(id).filter(|m| m.home == pid) else {
+                continue;
             };
-            let bytes = match clean_bytes {
-                Some(bytes) => {
+            let place = self.snapshot_place(meta);
+            let clean = prev.remove(&id).filter(|p| {
+                self.policy.incremental_snapshots
+                    && place != SnapshotPlace::None
+                    && p.home == pid
+                    && p.place == place
+            });
+            let bytes = match clean {
+                Some(p) => {
                     self.kernel.note_snapshot_skip();
-                    bytes
+                    p.bytes
                 }
                 None => {
                     let b = self
@@ -158,19 +142,20 @@ impl Runtime {
                     b
                 }
             };
-            entries.push(SnapshotEntry {
-                object: id,
-                // Kind and label are always re-read: `kind` carries live
-                // state (e.g. a capture's frames_read) that moves without
-                // touching payload pages.
-                kind: meta.kind,
-                label: meta.label,
+            // Kind and label are always re-read: `kind` carries live
+            // state (e.g. a capture's frames_read) that moves without
+            // touching payload pages.
+            let (kind, label) = (meta.kind.clone(), meta.label.clone());
+            let entry = SnapshotEntry {
+                kind,
+                label,
                 bytes,
                 home: pid,
                 place,
-            });
+            };
+            table.insert(id, entry);
         }
-        self.snapshots.insert(partition, entries);
+        self.snapshots.insert(partition, table);
     }
 
     /// Where `meta`'s payload lives right now, stamped with the write
@@ -281,32 +266,18 @@ impl Runtime {
         if force_fail {
             self.fail_next_restore = None;
         }
-        if let Some(entries) = self.snapshots.get(&partition).cloned() {
-            let mut lost: Vec<ObjectId> = Vec::new();
-            for entry in entries {
+        if let Some(table) = self.snapshots.remove(&partition) {
+            let mut kept = BTreeMap::new();
+            for (id, entry) in table {
                 let restored = if force_fail {
                     Err("injected restore failure".to_owned())
                 } else {
-                    match self
-                        .kernel
-                        .alloc(new_pid, entry.bytes.len().max(1) as u64, Perms::RW)
-                    {
-                        Ok(addr) => match self.kernel.mem_write(new_pid, addr, &entry.bytes) {
-                            Ok(()) => Ok(addr),
-                            Err(e) => Err(format!("{e:?}")),
-                        },
-                        Err(e) => Err(format!("{e:?}")),
-                    }
+                    self.restore(id, new_pid, &entry)
                 };
                 match restored {
-                    Ok(addr) => {
-                        if let Some(meta) = self.objects.meta_mut(entry.object) {
-                            meta.home = new_pid;
-                            meta.buffer = Some((addr, entry.bytes.len() as u64));
-                            meta.kind = entry.kind.clone();
-                            meta.label = entry.label.clone();
-                        }
-                        self.reprotect(entry.object);
+                    Ok(()) => {
+                        self.reprotect(id);
+                        kept.insert(id, entry);
                     }
                     Err(reason) => {
                         // A failed restore must not leave `meta.home`
@@ -319,20 +290,15 @@ impl Runtime {
                             self.tracer.record_audit(AuditRecord::SnapshotLost {
                                 at_ns,
                                 partition,
-                                object: entry.object,
+                                object: id,
                                 reason,
                             });
                         }
-                        self.quarantine_object(entry.object);
-                        lost.push(entry.object);
+                        self.quarantine_object(id);
                     }
                 }
             }
-            if !lost.is_empty() {
-                if let Some(entries) = self.snapshots.get_mut(&partition) {
-                    entries.retain(|e| !lost.contains(&e.object));
-                }
-            }
+            self.snapshots.insert(partition, kept);
         }
         if was_sealed && self.policy.sandbox != SandboxLevel::None {
             self.seal_agent(partition);
@@ -351,6 +317,39 @@ impl Runtime {
                 bytes: 0,
             });
         }
+    }
+
+    /// Writes snapshot `entry` back into object `id`, now homed in `pid`.
+    /// A segment-backed object keeps a surviving segment: `pid` gets a
+    /// view and the bytes go through it. Otherwise they land in a fresh
+    /// buffer and a dead segment is dropped. Either way the object ends
+    /// with exactly one placement, holding the snapshot's bytes (§6).
+    fn restore(&mut self, id: ObjectId, pid: Pid, entry: &SnapshotEntry) -> Result<(), String> {
+        let Runtime {
+            kernel,
+            tracer,
+            objects,
+            temporal,
+            ..
+        } = self;
+        let Some(meta) = objects.meta_mut(id) else {
+            return Ok(());
+        };
+        (meta.home, meta.kind, meta.label) = (pid, entry.kind.clone(), entry.label.clone());
+        match meta.shm {
+            Some((seg, len)) if kernel.shm_segment(seg).is_some() => {
+                map_view(kernel, tracer, id, seg, len, pid, Perms::RW)
+                    .map_err(|e| format!("{e:?}"))?;
+            }
+            // No live segment: `write_bytes` allocates a fresh buffer.
+            _ => {
+                (meta.buffer, meta.shm) = (None, None);
+                temporal.drop_segment(id);
+            }
+        }
+        objects
+            .write_bytes(kernel, id, &entry.bytes)
+            .map_err(|e| format!("{e:?}"))
     }
 
     /// Reaps a dead agent process: audited revocation of the shm views

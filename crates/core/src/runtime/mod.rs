@@ -193,10 +193,10 @@ enum SnapshotPlace {
     Shm { seg: ShmId, epoch: u64 },
 }
 
-/// A snapshotted stateful object (for restart restoration, §A.2.4).
-#[derive(Debug, Clone)]
+/// A snapshotted stateful object (for restart restoration, §A.2.4),
+/// keyed by its id in the partition's snapshot table.
+#[derive(Debug)]
 struct SnapshotEntry {
-    object: ObjectId,
     kind: ObjectKind,
     label: String,
     bytes: Vec<u8>,
@@ -336,7 +336,7 @@ pub struct Runtime {
     pub exploit_log: Vec<ActionReport>,
     stats: RuntimeStats,
     tracer: Tracer,
-    snapshots: BTreeMap<PartitionId, Vec<SnapshotEntry>>,
+    snapshots: BTreeMap<PartitionId, BTreeMap<ObjectId, SnapshotEntry>>,
     /// Objects pinned to a dedicated data process (code-based API+data
     /// baseline): shipped to users per call and returned afterwards.
     pinned: BTreeMap<ObjectId, Pid>,

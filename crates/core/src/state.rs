@@ -299,14 +299,19 @@ impl TemporalPlane {
         ids
     }
 
+    /// Drops `id` from the segment index (its payload left its segment).
+    pub fn drop_segment(&mut self, id: ObjectId) {
+        if let Some(ids) = self.segments.get_mut(&self.owner(id)) {
+            ids.remove(&id);
+        }
+    }
+
     /// Forgets `id` everywhere: its definitions, locks and segment entry.
     pub fn forget(&mut self, id: ObjectId) {
         self.locked -= u64::from(self.locks(id) > 0);
         self.shared.remove(&id);
+        self.drop_segment(id);
         let owner = self.owners.remove(&id);
-        if let Some(ids) = self.segments.get_mut(&owner) {
-            ids.remove(&id);
-        }
         let tracks: Vec<&mut ThreadTrack> = match owner {
             Some(Owner::Thread(t)) => self.threads.get_mut(&t).into_iter().collect(),
             Some(Owner::Shared) => self.threads.values_mut().collect(),

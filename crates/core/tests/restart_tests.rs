@@ -8,7 +8,7 @@
 use freepart::{AuditRecord, CallError, Policy, RestartBudget, Runtime};
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
-use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
+use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, ObjectKind, Value};
 use freepart_simos::device::Camera;
 use freepart_simos::FaultKind;
 use proptest::prelude::*;
@@ -418,6 +418,55 @@ fn restored_objects_work_after_an_incremental_snapshot_cycle() {
     rt.call("cv2.VideoCapture.read", std::slice::from_ref(&cap))
         .unwrap();
     assert!(rt.stats().restarts >= 1);
+}
+
+#[test]
+fn a_segment_backed_model_restores_with_exactly_one_placement() {
+    for segment_dies in [false, true] {
+        // Shm-threshold 1: the model's first move into the processing
+        // agent promotes it into a segment homed there, and every call
+        // snapshots.
+        let mut rt = Runtime::install(
+            standard_registry(),
+            Policy {
+                shm_threshold: Some(1),
+                snapshot_interval: 1,
+                ..Policy::freepart()
+            },
+        );
+        let model = rt.host_object(ObjectKind::Model { layers: 2 }, "model", &[1; 64]);
+        let forward = |rt: &mut Runtime| {
+            let x = rt.host_object(ObjectKind::Tensor { shape: vec![4, 4] }, "x", &[2; 64]);
+            rt.call("caffe.Net.Forward", &[Value::Obj(model), Value::Obj(x)])
+        };
+        forward(&mut rt).unwrap();
+        let processing = rt.partition_of(rt.registry().id_of("caffe.Net.Forward").unwrap());
+        let pid = rt.agent(processing).unwrap().pid;
+        let meta = rt.objects.meta(model).unwrap();
+        assert!(meta.buffer.is_none(), "{meta:?}");
+        assert_eq!(meta.home, pid);
+        let (seg, _) = meta.shm.expect("promoted into a segment");
+        rt.kernel.deliver_fault(pid, FaultKind::Abort, None);
+        if segment_dies {
+            rt.kernel.shm_destroy(seg);
+        }
+        // A surviving segment is restored in place, with a view for the
+        // respawned agent; a dead one falls back to a fresh buffer.
+        // Either way both calls run instead of faulting in a loop.
+        for round in 0..2 {
+            let got = forward(&mut rt);
+            assert!(got.is_ok(), "round {round}: {got:?}");
+        }
+        assert_eq!(rt.stats().restarts, 1, "one restart, no fault loop");
+        // A state transition sweeps the segment index, which debug
+        // builds check against the store.
+        seed_image(&mut rt, "/ok.simg");
+        rt.call("cv2.imread", &[Value::from("/ok.simg")]).unwrap();
+        let meta = rt.objects.meta(model).unwrap();
+        assert_eq!(meta.shm.is_some(), !segment_dies, "{meta:?}");
+        assert_eq!(meta.buffer.is_some(), segment_dies, "{meta:?}");
+        assert_eq!(rt.fetch_bytes(model).unwrap(), vec![1; 64]);
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! agent-to-agent transfer (the Lazy Data Copy fast path).
 
 use freepart_simos::{Addr, Kernel, Perms, Pid, ShmId, SimError, WindowId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a framework object.
@@ -85,6 +85,16 @@ impl ObjectKind {
             _ => None,
         }
     }
+
+    /// True for the kinds whose state a restarted agent must get back
+    /// (captures, models, classifiers): the objects periodic snapshots
+    /// cover (§6, §A.2.4).
+    pub fn is_stateful(&self) -> bool {
+        matches!(
+            self,
+            ObjectKind::Capture { .. } | ObjectKind::Model { .. } | ObjectKind::Classifier { .. }
+        )
+    }
 }
 
 /// Metadata for one live object.
@@ -148,6 +158,11 @@ impl ObjectMeta {
 pub struct ObjectStore {
     next: u64,
     objects: BTreeMap<ObjectId, ObjectMeta>,
+    /// Live objects of a stateful kind, updated only where objects enter
+    /// (`insert`) and leave (`destroy`) the store: a kind never changes
+    /// variant. Deliberately not keyed by `home`, which every move and
+    /// restore rewrites.
+    stateful: BTreeSet<ObjectId>,
 }
 
 impl ObjectStore {
@@ -158,21 +173,7 @@ impl ObjectStore {
 
     /// Registers a buffer-less object (e.g. a window handle).
     pub fn create_handle(&mut self, home: Pid, kind: ObjectKind, label: &str) -> ObjectId {
-        let id = ObjectId(self.next);
-        self.next += 1;
-        self.objects.insert(
-            id,
-            ObjectMeta {
-                id,
-                kind,
-                home,
-                buffer: None,
-                shm: None,
-                label: label.to_owned(),
-                taint: None,
-            },
-        );
-        id
+        self.insert(kind, home, None, label)
     }
 
     /// Allocates a payload buffer in `home` and registers the object.
@@ -187,21 +188,34 @@ impl ObjectStore {
         let len = data.len().max(1) as u64;
         let addr = kernel.alloc(home, len, Perms::RW)?;
         kernel.mem_write(home, addr, data)?;
+        Ok(self.insert(kind, home, Some((addr, data.len() as u64)), label))
+    }
+
+    /// Registers a new object under the next id — the one way into the
+    /// store, so the stateful index stays complete.
+    fn insert(
+        &mut self,
+        kind: ObjectKind,
+        home: Pid,
+        buffer: Option<(Addr, u64)>,
+        label: &str,
+    ) -> ObjectId {
         let id = ObjectId(self.next);
         self.next += 1;
-        self.objects.insert(
+        if kind.is_stateful() {
+            self.stateful.insert(id);
+        }
+        let meta = ObjectMeta {
             id,
-            ObjectMeta {
-                id,
-                kind,
-                home,
-                buffer: Some((addr, data.len() as u64)),
-                shm: None,
-                label: label.to_owned(),
-                taint: None,
-            },
-        );
-        Ok(id)
+            kind,
+            home,
+            buffer,
+            shm: None,
+            label: label.to_owned(),
+            taint: None,
+        };
+        self.objects.insert(id, meta);
+        id
     }
 
     /// Looks up an object's metadata.
@@ -212,18 +226,6 @@ impl ObjectStore {
     /// Mutable metadata access (kind updates for stateful objects).
     pub fn meta_mut(&mut self, id: ObjectId) -> Option<&mut ObjectMeta> {
         self.objects.get_mut(&id)
-    }
-
-    /// Relabels an object (host-side annotation of critical data).
-    pub fn set_label(&mut self, id: ObjectId, label: &str) {
-        if let Some(m) = self.objects.get_mut(&id) {
-            m.label = label.to_owned();
-        }
-    }
-
-    /// Finds the first live object with the given label.
-    pub fn find_by_label(&self, label: &str) -> Option<&ObjectMeta> {
-        self.objects.values().find(|m| m.label == label)
     }
 
     /// Reads the full payload of an object *through the kernel* (so page
@@ -417,16 +419,21 @@ impl ObjectStore {
     /// Drops an object (its buffer stays mapped; the simulation never
     /// reuses addresses, so dangling references fault realistically).
     pub fn destroy(&mut self, id: ObjectId) -> Option<ObjectMeta> {
+        self.stateful.remove(&id);
         self.objects.remove(&id)
     }
 
-    /// All live objects homed in `pid`.
-    pub fn objects_in(&self, pid: Pid) -> Vec<ObjectId> {
-        self.objects
-            .values()
-            .filter(|m| m.home == pid)
-            .map(|m| m.id)
-            .collect()
+    /// Live objects of a stateful kind ([`ObjectKind::is_stateful`]), in
+    /// ascending id order — O(stateful objects), not O(live objects).
+    pub fn stateful(&self) -> &BTreeSet<ObjectId> {
+        debug_assert!(
+            self.iter()
+                .filter(|m| m.kind.is_stateful())
+                .map(|m| m.id)
+                .eq(self.stateful.iter().copied()),
+            "stateful index drifted"
+        );
+        &self.stateful
     }
 
     /// Number of live objects.
@@ -559,30 +566,6 @@ mod tests {
         assert_eq!(store.meta(id).unwrap().home, a);
         assert_eq!(store.meta(dup).unwrap().home, b);
         assert_eq!(store.read_bytes(&mut k, dup).unwrap(), vec![3, 4]);
-    }
-
-    #[test]
-    fn labels_and_lookup() {
-        let (mut k, a, _, mut store) = setup();
-        let id = store
-            .create_with_data(&mut k, a, ObjectKind::Blob, "tmp", &[0])
-            .unwrap();
-        store.set_label(id, "template");
-        assert_eq!(store.find_by_label("template").unwrap().id, id);
-        assert!(store.find_by_label("nope").is_none());
-    }
-
-    #[test]
-    fn objects_in_filters_by_home() {
-        let (mut k, a, b, mut store) = setup();
-        let x = store
-            .create_with_data(&mut k, a, ObjectKind::Blob, "x", &[0])
-            .unwrap();
-        let y = store
-            .create_with_data(&mut k, b, ObjectKind::Blob, "y", &[0])
-            .unwrap();
-        assert_eq!(store.objects_in(a), vec![x]);
-        assert_eq!(store.objects_in(b), vec![y]);
     }
 
     #[test]

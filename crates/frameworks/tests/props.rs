@@ -1,11 +1,11 @@
 //! Property tests of the framework layer: decode fuzzing, random
-//! pipeline chains through the executor, and taint-propagation
-//! monotonicity.
+//! pipeline chains through the executor, taint-propagation
+//! monotonicity, and the object store's stateful index.
 
 use freepart_frameworks::api::{ApiKind, ApiType};
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::registry::standard_registry;
-use freepart_frameworks::{fileio, image::Image, ApiCtx, ObjectStore, Value};
+use freepart_frameworks::{fileio, image::Image, ApiCtx, ObjectId, ObjectKind, ObjectStore, Value};
 use freepart_simos::Kernel;
 use proptest::prelude::*;
 
@@ -102,6 +102,43 @@ proptest! {
             prop_assert!(meta.taint.is_some(), "taint dropped by {}", reg.spec(api).name);
         }
         prop_assert!(ctx.kernel.is_running(pid), "benign APIs never fire the payload");
+    }
+
+    /// The stateful index names exactly the live objects of a stateful
+    /// kind, in id order, whatever mix of creations, copies and
+    /// destructions built the store.
+    #[test]
+    fn stateful_index_matches_a_full_scan(
+        ops in proptest::collection::vec((0u8..4, 0u8..5, any::<u16>()), 1..40),
+    ) {
+        let mut kernel = Kernel::new();
+        let pids = [kernel.spawn("a"), kernel.spawn("b")];
+        let mut store = ObjectStore::new();
+        let mut live: Vec<ObjectId> = Vec::new();
+        for (op, kind, pick) in ops {
+            let kind = match kind {
+                0 => ObjectKind::Model { layers: 2 },
+                1 => ObjectKind::Capture { frames_read: 0 },
+                2 => ObjectKind::Classifier { stages: 3 },
+                3 => ObjectKind::Blob,
+                _ => ObjectKind::Tensor { shape: vec![2] },
+            };
+            let pid = pids[usize::from(pick) % 2];
+            let target = (!live.is_empty()).then(|| live[usize::from(pick) % live.len()]);
+            match (op, target) {
+                (0, _) => live.push(store.create_handle(pid, kind, "h")),
+                (1, _) => live.push(store.create_with_data(&mut kernel, pid, kind, "d", &[1; 8]).unwrap()),
+                (2, Some(id)) => live.push(store.deep_copy_to(&mut kernel, id, pid).unwrap()),
+                (3, Some(id)) => {
+                    store.destroy(id);
+                    live.retain(|x| *x != id);
+                }
+                _ => {}
+            }
+            let scan: Vec<ObjectId> =
+                store.iter().filter(|m| m.kind.is_stateful()).map(|m| m.id).collect();
+            prop_assert_eq!(store.stateful().iter().copied().collect::<Vec<_>>(), scan);
+        }
     }
 
     /// The registry's declared types always agree with the types the

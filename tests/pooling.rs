@@ -9,6 +9,7 @@ use freepart_suite::core::{
 };
 use freepart_suite::frameworks::registry::standard_registry;
 use freepart_suite::frameworks::{ObjectId, Value};
+use freepart_suite::simos::FaultKind;
 use proptest::prelude::*;
 
 fn pooled_rt() -> Runtime {
@@ -248,6 +249,42 @@ fn shared_pool_crash_restarts_once_and_readmits_every_tenant() {
     let denied = rt.call_tenant(tenants[1], "cv2.GaussianBlur", &[foreign]);
     assert!(matches!(denied, Err(CallError::TenantDenied { .. })));
     assert_eq!(rt.stats().restarts, 1, "still exactly one restart");
+}
+
+#[test]
+fn a_pooled_classifier_is_snapshotted_restored_and_usable() {
+    // A classifier the main thread loads into the shared loading pool is
+    // the one stateful object among every tenant's frames: snapshots
+    // cover it and nothing else, and a crash of its agent restores it.
+    let mut rt = pooled_rt();
+    rt.kernel.fs_put("/c.xml", vec![5; 64]);
+    let clf = rt
+        .call("cv2.CascadeClassifier.load", &[Value::from("/c.xml")])
+        .unwrap();
+    let tenants: Vec<TenantId> = (0..50).map(|_| rt.spawn_tenant()).collect();
+    let paths: Vec<String> = (0..50).map(|n| stage_input(&mut rt, n)).collect();
+    for _ in 0..2 {
+        for (t, path) in tenants.iter().zip(&paths) {
+            run_chain_pooled(&mut rt, *t, path).unwrap();
+        }
+    }
+    let m = rt.kernel.metrics();
+    assert_eq!(
+        (m.snapshot_objects_skipped, m.snapshot_bytes_copied),
+        (24, 64),
+        "snapshot rounds over the pools"
+    );
+    let home = rt.objects.meta(clf.as_obj().unwrap()).unwrap().home;
+    rt.kernel.deliver_fault(home, FaultKind::Abort, None);
+    // The next loading call restarts the pool and restores the
+    // classifier; detection then runs with it.
+    let img = rt.call("cv2.imread", &[Value::from(paths[0].as_str())]);
+    let found = rt.call(
+        "cv2.CascadeClassifier.detectMultiScale",
+        &[clf, img.unwrap()],
+    );
+    assert!(found.is_ok(), "{found:?}");
+    assert_eq!(rt.stats().restarts, 1);
 }
 
 // ----------------------------------------------------------------------
