@@ -8,10 +8,15 @@
 //! verdicts from the replayed kernel alone — proving the verdicts are
 //! reproducible from the log, not just observable live.
 //!
-//! It also gates the digest's cost: `digest_scaling` times
+//! It also gates the recorder's cost. `digest_scaling` times
 //! `state_digest` on pooled runtimes serving 10 and 1000 tenants, and
 //! fails when the larger costs 3x the smaller or more — the digest must
 //! stay O(1) in kernel size, since recording pays it on every step.
+//! `record_overhead` folds a recorded 200-tenant pooled log through
+//! `Kernel::apply`, alternating a plain kernel with a recording one,
+//! and fails when the recorded step costs 1.5x the unrecorded one or
+//! more: the digest, the outcome summary and the log append together
+//! must stay cheap next to the step itself.
 //!
 //! Results land in `BENCH_replay.json` at the repo root (hand-rolled
 //! JSON; the suite carries no serde) and as a table on stdout.
@@ -32,7 +37,8 @@ use freepart_bench::{write_artifact, Table};
 use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step;
 use freepart_simos::replay::{audit, replay};
-use freepart_simos::{CommitLog, FaultKind, KernelState};
+use freepart_simos::{CommitLog, CommitOp, FaultKind, Kernel, KernelState};
+use std::time::Instant;
 
 /// One recorded-and-replayed attack scenario.
 struct Scenario {
@@ -60,7 +66,7 @@ struct Scenario {
 /// [`KernelState`] `iters` times and reports (total steps, steps/sec).
 fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
     let mut total: u64 = 0;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     for _ in 0..iters {
         let mut state = KernelState::with_cost_model(log.genesis().clone());
         for rec in log.records() {
@@ -78,26 +84,71 @@ fn step_throughput(log: &CommitLog, iters: u32) -> (u64, f64) {
 const SCALING_TENANTS: (usize, usize) = (10, 1000);
 const MAX_SCALING_RATIO: f64 = 3.0;
 
-/// Median wall ns of one `state_digest` on a `freepart_pooled()` runtime
-/// that has served one chain per tenant for `tenants` tenants.
-fn digest_ns(tenants: usize) -> f64 {
-    let mut rt = fast_install(Policy::freepart_pooled());
+/// Tenants of the pooled log the record-overhead gate folds, and the bar
+/// on recorded vs. unrecorded step cost.
+const RECORD_TENANTS: usize = 200;
+const MAX_RECORD_RATIO: f64 = 1.5;
+
+/// A `freepart_pooled()` runtime that has served one chain per tenant
+/// for `tenants` tenants, recording its kernel when `record` is set.
+fn pooled(tenants: usize, record: bool) -> Runtime {
+    let mut rt = fast_install(Policy {
+        record_commits: record,
+        ..Policy::freepart_pooled()
+    });
     let ids: Vec<_> = (0..tenants).map(|_| rt.spawn_tenant()).collect();
     let paths: Vec<String> = ids.iter().map(|t| stage_input(&mut rt, t.0)).collect();
     run_chains_interleaved(&mut rt, &ids, &paths).expect("pooled serve");
-    // Batches of digests, so timer overhead stays out of the figure.
-    const BATCH: u32 = 64;
-    let mut samples: Vec<f64> = (0..301)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..BATCH {
-                std::hint::black_box(rt.kernel.state_digest());
-            }
-            start.elapsed().as_nanos() as f64 / f64::from(BATCH)
-        })
-        .collect();
+    rt
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median wall ns of one `state_digest` on `rt`.
+fn digest_ns(rt: &Runtime) -> f64 {
+    // Batches of digests, so timer overhead stays out of the figure.
+    const BATCH: u32 = 64;
+    median(
+        (0..301)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..BATCH {
+                    std::hint::black_box(rt.kernel.state_digest());
+                }
+                start.elapsed().as_nanos() as f64 / f64::from(BATCH)
+            })
+            .collect(),
+    )
+}
+
+/// Median wall ns per record of folding `log` through `Kernel::apply`,
+/// as (unrecorded, recorded). The two passes alternate, so machine drift
+/// lands on both.
+fn apply_ns(log: &CommitLog) -> (f64, f64) {
+    let pass = |record: bool| {
+        // Cloned before the clock starts: the copy is neither side's cost.
+        let ops: Vec<CommitOp> = log.records().iter().map(|r| r.op.clone()).collect();
+        let mut k = Kernel::with_cost_model(log.genesis().clone());
+        if record {
+            k.enable_commit_log();
+        }
+        let start = Instant::now();
+        for op in ops {
+            let _ = k.apply(op);
+        }
+        start.elapsed().as_nanos() as f64 / log.len() as f64
+    };
+    let (plain, recorded) = (0..9).map(|_| (pass(false), pass(true))).unzip();
+    (median(plain), median(recorded))
+}
+
+/// Prints one ratio gate, and fails the run unless `ratio` is under `max`.
+fn gate(what: String, ratio: f64, max: f64) {
+    println!("{what} (ratio {ratio:.2})");
+    assert!(ratio < max, "{what}: ratio {ratio:.2} is not under {max}");
 }
 
 /// Records one drone mission, replays it, audits it, and reports the
@@ -169,7 +220,12 @@ fn record_and_replay(
     (scenario, log)
 }
 
-fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)], scaling: (f64, f64)) -> String {
+fn to_json(
+    rows: &[Scenario],
+    throughput: &[(&str, u64, f64)],
+    scaling: (f64, f64),
+    (records, plain, recorded): (u64, f64, f64),
+) -> String {
     let mut out = String::from("{\n  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -208,10 +264,16 @@ fn to_json(rows: &[Scenario], throughput: &[(&str, u64, f64)], scaling: (f64, f6
     out.push_str(&format!(
         "  \"digest_scaling\": {{\"tenants_small\": {}, \"tenants_large\": {}, \
          \"digest_ns_small\": {small:.1}, \"digest_ns_large\": {large:.1}, \
-         \"ratio\": {:.3}, \"max_ratio\": {MAX_SCALING_RATIO:.1}}}\n}}\n",
+         \"ratio\": {:.3}, \"max_ratio\": {MAX_SCALING_RATIO:.1}}},\n",
         SCALING_TENANTS.0,
         SCALING_TENANTS.1,
         large / small
+    ));
+    out.push_str(&format!(
+        "  \"record_overhead\": {{\"records\": {records}, \"unrecorded_ns\": {plain:.1}, \
+         \"recorded_ns\": {recorded:.1}, \"ratio\": {:.3}, \
+         \"max_ratio\": {MAX_RECORD_RATIO:.1}}}\n}}\n",
+        recorded / plain
     ));
     out
 }
@@ -312,20 +374,33 @@ fn main() {
         throughput.push((log_name, steps, steps_per_sec));
     }
 
-    let scaling = (digest_ns(SCALING_TENANTS.0), digest_ns(SCALING_TENANTS.1));
-    let ratio = scaling.1 / scaling.0;
-    println!(
-        "\nstate digest: {:.0} ns at {} tenants, {:.0} ns at {} tenants (ratio {ratio:.2})",
-        scaling.0, SCALING_TENANTS.0, scaling.1, SCALING_TENANTS.1
+    let scaling = (
+        digest_ns(&pooled(SCALING_TENANTS.0, false)),
+        digest_ns(&pooled(SCALING_TENANTS.1, false)),
     );
-    assert!(
-        ratio < MAX_SCALING_RATIO,
-        "state digest grows with kernel size: {ratio:.2}x from {} to {} tenants",
-        SCALING_TENANTS.0,
-        SCALING_TENANTS.1
+    gate(
+        format!(
+            "\nstate digest: {:.0} ns at {} tenants, {:.0} ns at {} tenants",
+            scaling.0, SCALING_TENANTS.0, scaling.1, SCALING_TENANTS.1
+        ),
+        scaling.1 / scaling.0,
+        MAX_SCALING_RATIO,
     );
 
-    let json = to_json(&rows, &throughput, scaling);
+    let log = pooled(RECORD_TENANTS, true).kernel.take_commit_log();
+    let log = log.expect("recording was on");
+    let (plain, recorded) = apply_ns(&log);
+    gate(
+        format!(
+            "recorded step: {recorded:.0} ns vs {plain:.0} ns unrecorded over {} records \
+             of a {RECORD_TENANTS}-tenant pooled log",
+            log.len()
+        ),
+        recorded / plain,
+        MAX_RECORD_RATIO,
+    );
+
+    let json = to_json(&rows, &throughput, scaling, (log.len(), plain, recorded));
     write_artifact("BENCH_replay.json", &json);
     println!("wrote BENCH_replay.json ({} scenarios)", rows.len());
 }

@@ -2,15 +2,17 @@
 //!
 //! [`KernelState::digest`] certifies the complete observable state after
 //! every recorded step, so its cost must not grow with the number of
-//! processes. It mixes two kinds of input:
+//! processes. It folds one flat list of words with [`entry_fp`] — one
+//! independent multiply per word, then the splitmix64 avalanche:
 //!
-//! * **Scalars:** the clocks, timeline mode, time context, id counters,
-//!   and the singletons' own fingerprints (metrics, file system, camera,
-//!   display, network).
+//! * **Scalars:** the clock, timeline mode, time context, the metrics
+//!   counters, id counters, the entropy stream, the camera's frame
+//!   length and count, and the file-system, network and display
+//!   fingerprints.
 //! * **Four multiset hashes**, one per keyed map — processes,
 //!   timelines, channels, shm segments. Each is the wrapping sum of one
-//!   fingerprint per entry, keyed by the entry's id, and is mixed in
-//!   together with the map's length.
+//!   fingerprint per entry, keyed by the entry's id, and sits next to
+//!   the map's length.
 //!
 //! Wrapping addition rather than XOR keeps two equal entries from
 //! cancelling, and makes every sum updatable in O(1): [`step`] retires
@@ -28,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::commit::{self, CommitOp};
+use crate::commit::{self, fold, CommitOp};
 use crate::cost::VirtualClock;
 use crate::filter::SyscallFilter;
 use crate::ipc::{ChannelId, RingChannel};
@@ -45,14 +47,6 @@ pub(crate) struct EntitySums {
     timelines: u64,
     channels: u64,
     shm: u64,
-}
-
-/// Order-sensitive word-at-a-time fold for the variable-length parts of
-/// an entry (fd tables, grant tables): one multiply per word, where the
-/// byte-wise [`commit::mix`] needs eight. Bijective in both arguments,
-/// so changing any one folded word changes the result.
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31)
 }
 
 /// Hashes `words` position-wise (each word times its own odd constant,
@@ -366,8 +360,8 @@ fn swap_term(sum: &mut u64, term: &mut u64, new: u64) {
 
 impl KernelState {
     /// Digest of the complete observable kernel state, in O(1): the
-    /// scalars (clocks, timeline mode, time context, id counters), the
-    /// metrics, file-system and device fingerprints, and the four
+    /// scalars (clock, timeline mode, time context, metrics counters, id
+    /// counters, entropy stream, devices, file system), and the four
     /// per-map multiset hashes over processes (state, filter, fd table,
     /// address-space fingerprint, ...), timelines, channels, and shm
     /// segments with their grant tables. Two states that evolved
@@ -386,16 +380,33 @@ impl KernelState {
     }
 
     fn digest_with(&self, sums: EntitySums) -> u64 {
-        let mode = match self.mode {
-            TimelineMode::Global => 0,
-            TimelineMode::PerProcess => 1,
-        };
-        let mut h = commit::FINGERPRINT_SEED;
-        for v in [
+        let m = &self.metrics;
+        let cam = self.camera.as_ref();
+        // Timeline mode and camera presence share one word, as do the time
+        // context's pid and its `Some` tag, in disjoint bits.
+        let mode = u64::from(self.mode == TimelineMode::PerProcess) | u64::from(cam.is_some()) << 1;
+        let [e0, e1, e2, e3] = self.entropy.s;
+        entry_fp(&[
             self.clock.now_ns(),
             mode,
-            commit::some_summary(self.time_ctx.map(|p| u64::from(p.0))),
-            self.metrics.fingerprint(),
+            self.time_ctx.map_or(0, |p| 1 << 32 | u64::from(p.0)),
+            m.ipc_messages,
+            m.ipc_bytes,
+            m.copied_bytes,
+            m.copy_ops,
+            m.syscalls,
+            m.filter_kills,
+            m.faults,
+            m.spawns,
+            m.protected_pages,
+            m.timeline_merges,
+            m.shm_grants,
+            m.shm_revokes,
+            m.shm_mapped_bytes,
+            m.calls_batched,
+            m.snapshot_bytes_copied,
+            m.snapshot_objects_skipped,
+            m.reaps,
             u64::from(self.next_pid),
             u64::from(self.next_channel),
             self.next_shm,
@@ -408,14 +419,72 @@ impl KernelState {
             self.shm.len() as u64,
             sums.shm,
             self.fs.fingerprint(),
-            self.camera
-                .as_ref()
-                .map_or(0, |c| commit::mix(1, c.fingerprint())),
-            self.display.fingerprint(),
             self.network.fingerprint(),
-        ] {
-            h = commit::mix(h, v);
+            self.display.fingerprint(),
+            cam.map_or(0, |c| c.frame_len as u64),
+            cam.map_or(0, |c| c.frames_served()),
+            e0,
+            e1,
+            e2,
+            e3,
+        ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::Camera;
+
+    #[test]
+    fn every_digest_word_separates() {
+        let edits: [(_, fn(&mut KernelState)); 28] = [
+            ("ipc_messages", |s| s.metrics.ipc_messages += 1),
+            ("ipc_bytes", |s| s.metrics.ipc_bytes += 1),
+            ("copied_bytes", |s| s.metrics.copied_bytes += 1),
+            ("copy_ops", |s| s.metrics.copy_ops += 1),
+            ("syscalls", |s| s.metrics.syscalls += 1),
+            ("filter_kills", |s| s.metrics.filter_kills += 1),
+            ("faults", |s| s.metrics.faults += 1),
+            ("spawns", |s| s.metrics.spawns += 1),
+            ("protected_pages", |s| s.metrics.protected_pages += 1),
+            ("timeline_merges", |s| s.metrics.timeline_merges += 1),
+            ("shm_grants", |s| s.metrics.shm_grants += 1),
+            ("shm_revokes", |s| s.metrics.shm_revokes += 1),
+            ("shm_mapped_bytes", |s| s.metrics.shm_mapped_bytes += 1),
+            ("calls_batched", |s| s.metrics.calls_batched += 1),
+            ("snapshot_bytes_copied", |s| {
+                s.metrics.snapshot_bytes_copied += 1
+            }),
+            ("snapshot_objects_skipped", |s| {
+                s.metrics.snapshot_objects_skipped += 1
+            }),
+            ("reaps", |s| s.metrics.reaps += 1),
+            ("clock", |s| s.clock.charge(1)),
+            ("mode", |s| s.mode = TimelineMode::PerProcess),
+            ("time_ctx", |s| s.time_ctx = Some(Pid(0))),
+            ("next_pid", |s| s.next_pid += 1),
+            ("next_channel", |s| s.next_channel += 1),
+            ("next_shm", |s| s.next_shm += 1),
+            ("camera", |s| s.camera = None),
+            ("frame_len", |s| s.camera = Some(Camera::new(7, 5))),
+            ("frames_served", |s| {
+                _ = s.camera.as_mut().unwrap().capture()
+            }),
+            ("display", |s| s.display.push_key(0)),
+            ("entropy", |s| _ = s.entropy.next_byte()),
+        ];
+        // Start with a camera attached, so each camera word can move alone.
+        let base = || KernelState {
+            camera: Some(Camera::new(7, 4)),
+            ..KernelState::new()
+        };
+        let before = base().digest();
+        for (word, edit) in edits {
+            let mut s = base();
+            edit(&mut s);
+            assert_ne!(s.digest(), before, "{word} does not reach the digest");
+            assert_eq!(s.digest(), s.reference_digest(), "{word}");
         }
-        h
     }
 }

@@ -44,7 +44,7 @@ pub enum TimelineMode {
 /// recordings made before the core/shell split.
 #[derive(Debug, Clone)]
 pub(crate) struct EntropyStream {
-    s: [u64; 4],
+    pub(super) s: [u64; 4],
 }
 
 impl EntropyStream {

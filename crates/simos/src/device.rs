@@ -7,7 +7,7 @@
 //! is how the evaluation's exfiltration analysis observes whether an
 //! attack managed to `send()` stolen bytes off-box.
 
-use crate::commit::{fold_bytes, hash_str, mix, FINGERPRINT_SEED};
+use crate::commit::{fold, fold_bytes, hash_str, mix, FINGERPRINT_SEED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -39,7 +39,10 @@ impl fmt::Display for WindowId {
 #[derive(Debug)]
 pub struct Camera {
     rng: StdRng,
-    frame_len: usize,
+    /// Bytes per frame. The generator stream is fully determined by the
+    /// seed and the frames served, so the kernel digest covers the
+    /// camera with this and [`Camera::frames_served`].
+    pub(crate) frame_len: usize,
     frames_served: u64,
 }
 
@@ -62,16 +65,6 @@ impl Camera {
     /// Number of frames handed out so far.
     pub fn frames_served(&self) -> u64 {
         self.frames_served
-    }
-
-    /// Digest of the camera's observable state. The generator stream is
-    /// fully determined by the seed and the frames served, so the pair
-    /// `(frame_len, frames_served)` pins it.
-    pub fn fingerprint(&self) -> u64 {
-        mix(
-            mix(FINGERPRINT_SEED, self.frame_len as u64),
-            self.frames_served,
-        )
     }
 }
 
@@ -203,24 +196,25 @@ impl Display {
     }
 
     /// Digest of the whole display state: windows (live and destroyed
-    /// slots), pending keys, blit volume, and connection flag. Window
-    /// counts are tiny, so this walks rather than tracking incrementally.
+    /// slots), pending keys, blit volume, and connection flag, folded a
+    /// word at a time. Window counts are tiny, so this walks rather than
+    /// tracking incrementally.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = mix(
-            mix(FINGERPRINT_SEED, self.blitted_bytes),
-            u64::from(self.connected),
+        let head = [self.blitted_bytes, u64::from(self.connected)];
+        let mut h = fold(
+            head.into_iter().fold(FINGERPRINT_SEED, fold),
+            self.windows.len() as u64,
         );
-        h = mix(h, self.windows.len() as u64);
         for w in &self.windows {
             h = match w {
-                None => mix(h, 0),
-                Some(w) => mix(
-                    mix(mix(mix(h, 1), hash_str(&w.title)), w.last_frame_len as u64),
-                    w.presents,
-                ),
+                None => fold(h, 0),
+                Some(w) => [1, hash_str(&w.title), w.last_frame_len as u64, w.presents]
+                    .into_iter()
+                    .fold(h, fold),
             };
         }
-        fold_bytes(h, &self.key_queue)
+        let keys = self.key_queue.iter().map(|&k| u64::from(k));
+        keys.fold(fold(h, self.key_queue.len() as u64), fold)
     }
 }
 

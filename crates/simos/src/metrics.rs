@@ -110,32 +110,6 @@ impl Metrics {
     pub fn total_transfer_bytes(&self) -> u64 {
         self.ipc_bytes + self.copied_bytes
     }
-
-    /// Digest over every counter, for the kernel state digest.
-    pub fn fingerprint(&self) -> u64 {
-        let fields = [
-            self.ipc_messages,
-            self.ipc_bytes,
-            self.copied_bytes,
-            self.copy_ops,
-            self.syscalls,
-            self.filter_kills,
-            self.faults,
-            self.spawns,
-            self.protected_pages,
-            self.timeline_merges,
-            self.shm_grants,
-            self.shm_revokes,
-            self.shm_mapped_bytes,
-            self.calls_batched,
-            self.snapshot_bytes_copied,
-            self.snapshot_objects_skipped,
-            self.reaps,
-        ];
-        fields.iter().fold(crate::commit::FINGERPRINT_SEED, |h, v| {
-            crate::commit::mix(h, *v)
-        })
-    }
 }
 
 #[cfg(test)]
