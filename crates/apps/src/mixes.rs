@@ -6,7 +6,7 @@
 //! through the filter chain, where zero-copy promotion wins; `mixed`
 //! interleaves the two every round; `phase-shift` flips character
 //! mid-run, so a controller tuned on the first half must re-decide for
-//! the second. The `adaptive` bench bin runs every mix under every
+//! the second. The `adaptive` bench runs every mix under every
 //! static preset *and* under [`Policy::freepart_adaptive`], through
 //! this one driver, and asserts the controller matches or beats each
 //! preset while producing byte-identical digests.
@@ -250,7 +250,7 @@ mod tests {
     use freepart_frameworks::registry::standard_registry;
 
     /// Every mix produces the same digest under every policy preset —
-    /// the transparency contract the bench bin builds on.
+    /// the transparency contract the `adaptive` bench builds on.
     #[test]
     fn mix_digests_are_policy_independent() {
         for mix in standard_mixes() {

@@ -5,9 +5,10 @@
 
 use freepart::{Policy, RestartPolicy, Runtime, SandboxLevel};
 use freepart_apps::omr::{self, OmrConfig};
-use freepart_attacks::{judge, payloads, AttackGoal, Verdict};
-use freepart_baselines::ApiSurface;
-use freepart_bench::Table;
+use freepart_attacks::{payloads, AttackGoal};
+use freepart_bench::{
+    attack_batch, benign_run, corrupt_template, judge_attack, rewrite_code, Mission, Table,
+};
 use freepart_frameworks::registry::standard_registry;
 
 struct Ablation {
@@ -17,9 +18,7 @@ struct Ablation {
 
 fn time_of(policy: Policy) -> u64 {
     let mut rt = Runtime::install(standard_registry(), policy);
-    rt.kernel.reset_accounting();
-    omr::run(&mut rt, &OmrConfig::benign(12));
-    rt.kernel.clock().now_ns()
+    benign_run(&mut rt, &Mission::Omr(OmrConfig::benign(12))).time_ns
 }
 
 /// Micro-workload exercising type-neutral co-location: `imread →
@@ -83,80 +82,31 @@ fn m2_temporal_prevented(policy: Policy) -> bool {
     // Attack: same pipeline, tainted input, write targets gray in the
     // processing agent.
     let payload = payloads::corrupt("CVE-2019-14491", addr.0, vec![0xAB; 16]);
-    let (mut rt, gray_id, _) = drive(policy, Some(payload));
-    let log = rt.exploit_log.clone();
-    let (kernel, objects, host) = rt.attack_view();
-    judge(
-        &AttackGoal::CorruptObject {
-            id: gray_id,
-            original,
-        },
-        kernel,
-        objects,
-        host,
-        &log,
-    ) == Verdict::Prevented
+    let (mut rt, id, _) = drive(policy, Some(payload));
+    judge_attack(&mut rt, &AttackGoal::CorruptObject { id, original }).prevented()
 }
 
 /// Is the M attack (corrupt template) still prevented under `policy`?
 fn m_prevented(policy: Policy) -> bool {
-    let addr = {
-        let mut probe = Runtime::install(standard_registry(), policy.clone());
-        let r = omr::run(&mut probe, &OmrConfig::benign(0));
-        probe.objects.meta(r.template).unwrap().buffer.unwrap().0
-    };
+    let mut probe = Runtime::install(standard_registry(), policy.clone());
     let mut rt = Runtime::install(standard_registry(), policy);
-    let cfg = OmrConfig {
-        samples: 2,
-        boxes_per_sample: 2,
-        evil_sample: Some((0, payloads::corrupt("CVE-2017-12597", addr.0, vec![9; 16]))),
-        evil_imshow: None,
-    };
-    let r = omr::run(&mut rt, &cfg);
-    let log = rt.exploit_log.clone();
-    let (kernel, objects, host) = rt.attack_view();
-    judge(
-        &AttackGoal::CorruptObject {
-            id: r.template,
-            original: r.template_original,
-        },
-        kernel,
-        objects,
-        host,
-        &log,
-    ) == Verdict::Prevented
+    corrupt_template(&mut probe, &mut rt, 2, 0, vec![9; 16]).0
 }
 
 /// Is the code-rewrite attack still prevented under `policy`?
 fn c_prevented(policy: Policy) -> bool {
-    let mut rt = Runtime::install(standard_registry(), policy);
-    omr::run(&mut rt, &OmrConfig::benign(1));
-    let code = rt.code_target();
-    let cfg = OmrConfig {
-        samples: 2,
-        boxes_per_sample: 2,
-        evil_sample: Some((0, payloads::code_rewrite("CVE-2017-17760", code))),
-        evil_imshow: None,
-    };
-    omr::run(&mut rt, &cfg);
-    let log = rt.exploit_log.clone();
-    let (kernel, objects, host) = rt.attack_view();
-    judge(&AttackGoal::RewriteCode, kernel, objects, host, &log) == Verdict::Prevented
+    rewrite_code(&mut Runtime::install(standard_registry(), policy))
 }
 
 /// How many submissions complete under a mid-batch DoS?
 fn dos_completed(policy: Policy) -> u32 {
     let mut rt = Runtime::install(standard_registry(), policy);
-    let cfg = OmrConfig {
-        samples: 6,
-        boxes_per_sample: 2,
-        evil_sample: Some((2, payloads::dos("CVE-2017-14136"))),
-        evil_imshow: None,
-    };
+    let cfg = attack_batch(6, 2, payloads::dos("CVE-2017-14136"));
     omr::run(&mut rt, &cfg).completed
 }
 
-fn main() {
+/// The ablation table, then the type-neutral co-location delta.
+pub fn run() {
     let ablations: [Ablation; 5] = [
         Ablation {
             name: "full FreePart",

@@ -4,8 +4,8 @@
 //! Sweeps the four [`freepart_apps::mixes`] workloads — tiny chatty
 //! calls, bulk frames, an interleaved mix, and a phase shift mid-run —
 //! under each static preset (lazy, eager, shm, batched) and under
-//! [`Policy::freepart_adaptive`], all through the same driver. Asserts,
-//! in-binary:
+//! [`Policy::freepart_adaptive`], all through the same driver. Asserts
+//! next to the data:
 //!
 //! * every policy produces the byte-identical digest on every mix
 //!   (knob choices are performance-only, never semantics);
@@ -15,20 +15,16 @@
 //!   the batched preset's hand-tuned figure.
 //!
 //! Results land in `BENCH_adaptive.json` at the repo root (hand-rolled
-//! JSON; the suite carries no serde). Regenerate with:
-//!
-//! ```text
-//! cargo run --release -p freepart-bench --bin adaptive
-//! ```
+//! JSON; the suite carries no serde) and as a table on stdout, under
+//! `all_reports`' `adaptive` banner.
 
 use freepart::Policy;
 use freepart_apps::mixes::{run_mix, standard_mixes, Mix, MixResult};
-use freepart_apps::omr;
-use freepart_baselines::{build, SchemeKind};
-use freepart_bench::experiments::omr_workload;
+use freepart_baselines::SchemeKind;
 use freepart_bench::fmt::pct;
-use freepart_bench::{fast_install, write_artifact, Table};
-use freepart_frameworks::registry::standard_registry;
+use freepart_bench::{
+    benign_run, fast_install, omr_run, omr_workload, write_artifact, Mission, Table,
+};
 
 /// One policy × mix measurement.
 struct Run {
@@ -83,23 +79,9 @@ fn measure(mix: &Mix, name: &'static str, policy: Policy) -> (Run, MixResult) {
 /// original — the headline number the batched preset hand-tuned to
 /// 2.20%.
 fn omr_overhead() -> (u64, u64, f64) {
-    let reg = standard_registry();
-    let mut surface = build(
-        SchemeKind::Original,
-        standard_registry(),
-        &omr::omr_universe(&reg),
-    );
-    surface.kernel_mut().reset_accounting();
-    let r = omr::run(surface.as_mut(), &omr_workload());
-    assert!(r.completed > 0, "workload must actually run");
-    let original_ns = surface.kernel().clock().now_ns();
-
+    let original_ns = omr_run(SchemeKind::Original).time_ns;
     let mut rt = fast_install(Policy::freepart_adaptive());
-    rt.kernel.reset_accounting();
-    let r = omr::run(&mut rt, &omr_workload());
-    assert!(r.completed > 0 && r.errors.is_empty(), "benign OMR errored");
-    let adaptive_ns = rt.kernel.clock().now_ns();
-
+    let adaptive_ns = benign_run(&mut rt, &Mission::Omr(omr_workload())).time_ns;
     let overhead = adaptive_ns as f64 / original_ns.max(1) as f64 - 1.0;
     (original_ns, adaptive_ns, overhead)
 }
@@ -109,7 +91,9 @@ fn json_digest(d: &[f64]) -> String {
     format!("[{}]", cells.join(", "))
 }
 
-fn main() {
+/// Every preset and the controller on every mix, the controller and
+/// OMR-overhead bars, and `BENCH_adaptive.json`.
+pub fn run() {
     let mut table = Table::new(["Mix", "Policy", "Time (ms)", "IPC", "Bytes", "Decisions"]);
     let mut json = String::from("{\n  \"mixes\": [\n");
     let mixes = standard_mixes();

@@ -6,20 +6,18 @@
 //! virtual time as overhead relative to the monolithic original.
 //!
 //! Results land in `BENCH_hotpath.json` at the repo root (hand-rolled
-//! JSON; the suite carries no serde) and as a table on stdout.
-//! Regenerate with:
-//!
-//! ```text
-//! cargo run --release -p freepart-bench --bin hotpath
-//! ```
+//! JSON; the suite carries no serde) and as a table on stdout, under
+//! `all_reports`' `hotpath` banner.
 
 use freepart::trace::json_escape;
 use freepart::Policy;
-use freepart_apps::{drone, omr};
-use freepart_baselines::{build, ApiSurface, SchemeKind};
-use freepart_bench::experiments::omr_workload;
+use freepart_apps::omr;
+use freepart_baselines::{build, SchemeKind};
 use freepart_bench::fmt::pct;
-use freepart_bench::{drone_universe, drone_workload, fast_install, write_artifact, Table};
+use freepart_bench::{
+    benign_run, drone_universe, drone_workload, fast_install, omr_workload, write_artifact,
+    Mission, MissionRun, Table,
+};
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::registry::standard_registry;
 
@@ -27,55 +25,29 @@ use freepart_frameworks::registry::standard_registry;
 struct Run {
     scheme: &'static str,
     pipeline: &'static str,
-    time_ns: u64,
-    ipc: u64,
-    transfer_bytes: u64,
-    copy_ops: u64,
-    processes: usize,
+    cost: MissionRun,
     /// `time / original_time - 1`; 0 for the baseline itself.
     overhead: f64,
 }
 
-/// Runs one pipeline on a surface and returns its metrics row.
-fn measure(scheme: &'static str, pipeline: &'static str, surface: &mut dyn ApiSurface) -> Run {
-    surface.kernel_mut().reset_accounting();
-    match pipeline {
-        "omr" => {
-            let r = omr::run(surface, &omr_workload());
-            assert!(r.completed > 0, "workload must actually run");
-            assert!(r.errors.is_empty(), "benign run must be error-free");
-        }
-        "drone" => {
-            let r = drone::run(surface, &drone_workload());
-            assert!(r.frames_processed > 0, "workload must actually run");
-        }
-        _ => unreachable!(),
-    }
-    let m = surface.kernel().metrics();
-    Run {
+fn pipeline_runs(pipeline: &'static str, mission: &Mission, universe: &[ApiId]) -> Vec<Run> {
+    let run = |scheme, cost| Run {
         scheme,
         pipeline,
-        time_ns: surface.kernel().clock().now_ns(),
-        ipc: m.ipc_messages,
-        transfer_bytes: m.total_transfer_bytes(),
-        copy_ops: m.copy_ops,
-        processes: surface.process_count(),
+        cost,
         overhead: 0.0,
-    }
-}
-
-fn pipeline_runs(pipeline: &'static str, universe: &[ApiId]) -> Vec<Run> {
+    };
     let mut rows = Vec::new();
     for kind in SchemeKind::ALL {
         let mut surface = build(kind, standard_registry(), universe);
-        rows.push(measure(kind.name(), pipeline, surface.as_mut()));
+        rows.push(run(kind.name(), benign_run(surface.as_mut(), mission)));
     }
     // FreePart with eager (through-host) copies instead of LDC.
     let mut rt = fast_install(Policy::without_ldc());
-    rows.push(measure("FreePart (no LDC)", pipeline, &mut rt));
+    rows.push(run("FreePart (no LDC)", benign_run(&mut rt, mission)));
     // FreePart with large payloads page-mapped via shared memory.
     let mut rt = fast_install(Policy::freepart_shm());
-    rows.push(measure("FreePart (shm)", pipeline, &mut rt));
+    rows.push(run("FreePart (shm)", benign_run(&mut rt, mission)));
     // FreePart with same-partition call bursts coalesced into single
     // IPC frames, and with the closed-loop controller picking transport,
     // batch window, and pipeline window per partition at runtime. Same
@@ -85,7 +57,7 @@ fn pipeline_runs(pipeline: &'static str, universe: &[ApiId]) -> Vec<Run> {
         ("FreePart (adaptive)", Policy::freepart_adaptive()),
     ] {
         let mut rt = fast_install(policy);
-        rows.push(measure(scheme, pipeline, &mut rt));
+        rows.push(run(scheme, benign_run(&mut rt, mission)));
         assert!(
             rt.kernel.metrics().calls_batched > 0,
             "{scheme}: calls actually rode in batches"
@@ -107,10 +79,11 @@ fn pipeline_runs(pipeline: &'static str, universe: &[ApiId]) -> Vec<Run> {
         .iter()
         .find(|r| r.scheme == SchemeKind::Original.name())
         .expect("original baseline present")
+        .cost
         .time_ns
         .max(1);
     for r in &mut rows {
-        r.overhead = r.time_ns as f64 / base_ns as f64 - 1.0;
+        r.overhead = r.cost.time_ns as f64 / base_ns as f64 - 1.0;
     }
     rows
 }
@@ -124,12 +97,12 @@ fn to_json(rows: &[Run]) -> String {
              \"copy_ops\": {}, \"processes\": {}}}{}\n",
             json_escape(r.scheme),
             r.pipeline,
-            r.time_ns,
+            r.cost.time_ns,
             r.overhead,
-            r.ipc,
-            r.transfer_bytes,
-            r.copy_ops,
-            r.processes,
+            r.cost.ipc,
+            r.cost.transfer_bytes,
+            r.cost.copy_ops,
+            r.cost.processes,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -137,10 +110,22 @@ fn to_json(rows: &[Run]) -> String {
     out
 }
 
-fn main() {
+/// Every scheme on both pipelines, the LDC / shm / batching / controller
+/// bars, and `BENCH_hotpath.json`.
+pub fn run() {
     let reg = standard_registry();
-    let mut rows = pipeline_runs("omr", &omr::omr_universe(&reg));
-    rows.extend(pipeline_runs("drone", &drone_universe(&reg)));
+    let pipelines = [
+        ("omr", Mission::Omr(omr_workload()), omr::omr_universe(&reg)),
+        (
+            "drone",
+            Mission::Drone(drone_workload()),
+            drone_universe(&reg),
+        ),
+    ];
+    let rows: Vec<Run> = pipelines
+        .iter()
+        .flat_map(|(name, mission, universe)| pipeline_runs(name, mission, universe))
+        .collect();
 
     let mut table = Table::new([
         "Pipeline",
@@ -155,18 +140,20 @@ fn main() {
         table.row([
             r.pipeline.to_owned(),
             r.scheme.to_owned(),
-            format!("{:.3}", r.time_ns as f64 / 1e6),
+            format!("{:.3}", r.cost.time_ns as f64 / 1e6),
             pct(r.overhead),
-            r.ipc.to_string(),
-            r.copy_ops.to_string(),
-            r.processes.to_string(),
+            r.cost.ipc.to_string(),
+            r.cost.copy_ops.to_string(),
+            r.cost.processes.to_string(),
         ]);
     }
     table.print("Hooked-call data-plane overhead (virtual time)");
     let row = |pipeline: &str, scheme: &str| {
-        rows.iter()
+        &rows
+            .iter()
             .find(|r| r.pipeline == pipeline && r.scheme == scheme)
             .expect("row present")
+            .cost
     };
 
     // The whole point of LDC: on the OMR pipeline, lazy copies must not

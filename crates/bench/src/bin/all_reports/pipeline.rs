@@ -8,12 +8,8 @@
 //! byte-identical to the synchronous mission.
 //!
 //! Results land in `BENCH_pipeline.json` at the repo root (hand-rolled
-//! JSON; the suite carries no serde) and as a table on stdout.
-//! Regenerate with:
-//!
-//! ```text
-//! cargo run --release -p freepart-bench --bin pipeline
-//! ```
+//! JSON; the suite carries no serde) and as a table on stdout, under
+//! `all_reports`' `pipeline` banner.
 
 use freepart::trace::json_escape;
 use freepart_bench::fmt::pct;
@@ -41,7 +37,9 @@ fn to_json(rows: &[PipelineRun], speedup: f64) -> String {
     out
 }
 
-fn main() {
+/// The three-mode drone mission, the speedup bar, and
+/// `BENCH_pipeline.json`.
+pub fn run() {
     let rows = pipeline_comparison(FRAMES);
     let base_ns = rows[0].time_ns.max(1);
 

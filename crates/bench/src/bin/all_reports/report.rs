@@ -11,33 +11,25 @@
 //! Tracing never charges virtual time, so the traced FreePart run must
 //! land on exactly the same clock value as an untraced one — the report
 //! asserts that, and asserts that no two leaf spans overlap in virtual
-//! time, so no component counts the same nanoseconds twice.
-//!
-//! ```text
-//! cargo run --release -p freepart-bench --bin freepart-report
-//! ```
+//! time, so no component counts the same nanoseconds twice. It prints
+//! under `all_reports`' `freepart-report` banner.
 
 use freepart::{FlushReason, Policy, Runtime, SpanEvent, SpanPhase, Tracer};
-use freepart_apps::{drone, omr};
-use freepart_baselines::{build, ApiSurface, SchemeKind};
-use freepart_bench::experiments::omr_workload;
+use freepart_baselines::SchemeKind;
 use freepart_bench::fmt::pct;
-use freepart_bench::{drone_workload, fast_install, write_artifact, Table};
-use freepart_frameworks::registry::standard_registry;
+use freepart_bench::{
+    benign_run, drone_workload, fast_install, omr_run, omr_workload, write_artifact, Mission, Table,
+};
 
-/// Virtual time of one full OMR run on a fresh surface.
-fn omr_time(surface: &mut dyn ApiSurface) -> u64 {
-    surface.kernel_mut().reset_accounting();
-    let r = omr::run(surface, &omr_workload());
-    assert!(r.completed > 0, "workload must actually run");
-    surface.kernel().now_ns()
+/// Virtual time of one full benign OMR run.
+fn omr_time(rt: &mut Runtime) -> u64 {
+    benign_run(rt, &Mission::Omr(omr_workload())).time_ns
 }
 
-/// A FreePart runtime with tracing on and accounting zeroed.
-fn traced_freepart() -> Runtime {
-    let mut rt = fast_install(Policy::freepart());
+/// A FreePart runtime under `policy` with tracing on.
+fn traced(policy: Policy) -> Runtime {
+    let mut rt = fast_install(policy);
     rt.enable_tracing();
-    rt.kernel.reset_accounting();
     rt
 }
 
@@ -67,21 +59,16 @@ fn check_leaves(tracer: &Tracer) -> Result<usize, String> {
     }
 }
 
-fn main() {
-    let reg = standard_registry();
-
+/// The overhead decomposition, per-partition telemetry, audit summary,
+/// flush reasons and controller decisions; writes `BENCH_trace.json`.
+pub fn run() {
     // ---- baselines: original and untraced FreePart ----
-    let mut original = build(
-        SchemeKind::Original,
-        standard_registry(),
-        &omr::omr_universe(&reg),
-    );
-    let t_orig = omr_time(original.as_mut());
+    let t_orig = omr_run(SchemeKind::Original).time_ns;
     let mut untraced = fast_install(Policy::freepart());
     let t_fp_untraced = omr_time(&mut untraced);
 
     // ---- traced FreePart run ----
-    let mut rt = traced_freepart();
+    let mut rt = traced(Policy::freepart());
     let t_fp = omr_time(&mut rt);
     assert_eq!(
         t_fp, t_fp_untraced,
@@ -184,11 +171,8 @@ fn main() {
     );
 
     // ---- batched submission: where the flushes come from ----
-    let mut rt = fast_install(Policy::freepart_batched());
-    rt.enable_tracing();
-    rt.kernel.reset_accounting();
-    let r = omr::run(&mut rt, &omr_workload());
-    assert!(r.completed > 0, "workload must actually run");
+    let mut rt = traced(Policy::freepart_batched());
+    omr_time(&mut rt);
     let flushes = rt.tracer().batch_flushes();
     assert!(!flushes.is_empty(), "batched run must flush batches");
     let mut table = Table::new(["Flush reason", "Batches", "Calls", "Mean calls/frame"]);
@@ -279,11 +263,8 @@ fn main() {
     // ---- traced batched drone run → Chrome trace export ----
     // Batched so the exported timeline shows `batch` spans enclosing
     // their member `call` spans and the flush-reason instants.
-    let mut rt = fast_install(Policy::freepart_batched());
-    rt.enable_tracing();
-    rt.kernel.reset_accounting();
-    let r = drone::run(&mut rt, &drone_workload());
-    assert!(r.frames_processed > 0, "workload must actually run");
+    let mut rt = traced(Policy::freepart_batched());
+    benign_run(&mut rt, &Mission::Drone(drone_workload()));
     assert_eq!(
         rt.partition_labels().len(),
         4,

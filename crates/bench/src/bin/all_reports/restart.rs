@@ -14,12 +14,8 @@
 //!    replay, bounded healthy p99, DoS detected + audited).
 //!
 //! Results land in `BENCH_restart.json` at the repo root (hand-rolled
-//! JSON; the suite carries no serde) and as tables on stdout.
-//! Regenerate with:
-//!
-//! ```text
-//! cargo run --release -p freepart-bench --bin restart
-//! ```
+//! JSON; the suite carries no serde) and as tables on stdout, under
+//! `all_reports`' `restart` banner.
 
 use freepart::{Policy, RestartBudget, Runtime};
 use freepart_apps::storm::{judge_crash_storm, StormConfig};
@@ -84,7 +80,9 @@ fn drone_detector_snapshots(incremental: bool, frames: u32) -> (u64, u64, u32) {
     (m.snapshot_bytes_copied, m.snapshot_objects_skipped, frames)
 }
 
-fn main() {
+/// The restart-latency, snapshot-traffic and crash-storm legs with
+/// their bars, and `BENCH_restart.json`.
+pub fn run() {
     // ------------------------------------------------------------------
     // 1. Restart latency: cold vs warm spare.
     // ------------------------------------------------------------------

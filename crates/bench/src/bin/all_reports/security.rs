@@ -1,14 +1,86 @@
-//! Regenerates the **§5.4 and §A.7 case studies**: the autonomous
-//! drone, the MComix3 viewer leak, and the StegoNet trojan model — each
-//! run unprotected and under FreePart.
+//! The security evaluation: §5's per-CVE containment sweep with the
+//! §5.3 exfiltration and corruption attacks, and the §5.4 / §A.7 case
+//! studies, each attack judged from ground truth.
 
 use freepart::{Policy, Runtime};
 use freepart_apps::{drone, mcomix, stegonet};
-use freepart_attacks::{judge, payloads, AttackGoal};
+use freepart_attacks::{payloads, AttackGoal, Verdict};
 use freepart_baselines::{ApiSurface, MonolithicRuntime};
+use freepart_bench::{cve_sweep, judge_attack, Table};
 use freepart_frameworks::registry::standard_registry;
+use freepart_frameworks::{fileio, image::Image, ExploitPayload, ObjectId, Value};
 
-fn main() {
+/// **§5 "Correctness" + §5.3 security analysis**: every Table 5 CVE is
+/// exercised against FreePart; exfiltration and corruption attacks are
+/// launched and judged.
+pub fn security_analysis() {
+    // ---- per-CVE containment sweep ----
+    let mut t = Table::new([
+        "CVE",
+        "API",
+        "exploit fired",
+        "host survived",
+        "fully prevented",
+    ]);
+    let mut all_ok = true;
+    for v in cve_sweep() {
+        all_ok &= v.fired && v.host_survived && v.fully_prevented;
+        let y = |b: bool| if b { "yes" } else { "NO" };
+        t.row([
+            v.id,
+            v.api,
+            y(v.fired),
+            y(v.host_survived),
+            y(v.fully_prevented),
+        ]);
+    }
+    t.print("§5 Correctness — all Table 5 CVEs vs FreePart");
+    println!(
+        "\nAll attacks contained: {all_ok} (paper: all 18 CVEs mitigated, no false\n\
+         negatives; benign runs produced no false positives — see the test suite's\n\
+         benign-workload assertions)."
+    );
+
+    // ---- §5.3 data exfiltration ----
+    let exfiltrate = |addr| payloads::exfiltrate("CVE-2017-12597", addr, 19, "attacker:4444");
+    let (mut rt, _) = attack_host_data("user-profiles", b"SECRET-PROFILE-DATA", exfiltrate);
+    let marker = b"SECRET-PROFILE".to_vec();
+    let v = judge_attack(&mut rt, &AttackGoal::Exfiltrate { marker });
+    println!("\n§5.3 data exfiltration from the loading agent: {v:?} (paper: prevented —");
+    println!("the secret lives in the host process AND the agent's filter has no send).");
+    assert_eq!(v, Verdict::Prevented);
+
+    // ---- §5.3 data corruption ----
+    let original = b"threshold=0.75;classes=10";
+    let corrupt = |addr| payloads::corrupt("CVE-2017-12606", addr, vec![0; 8]);
+    let (mut rt, id) = attack_host_data("model-config", original, corrupt);
+    let original = original.to_vec();
+    let v = judge_attack(&mut rt, &AttackGoal::CorruptObject { id, original });
+    println!("\n§5.3 data corruption of host configuration: {v:?} (paper: prevented).");
+    assert_eq!(v, Verdict::Prevented);
+}
+
+/// Plants `data` as host data under FreePart, then loads an image whose
+/// exploit, `payload(address of data)`, rides `cv2.imread` into the
+/// loading agent. Returns the runtime and the data's object id.
+fn attack_host_data(
+    name: &str,
+    data: &[u8],
+    payload: impl FnOnce(u64) -> ExploitPayload,
+) -> (Runtime, ObjectId) {
+    let mut rt = Runtime::install(standard_registry(), Policy::freepart());
+    let id = rt.host_data(name, data);
+    let addr = rt.objects.meta(id).unwrap().buffer.unwrap().0;
+    let img = fileio::encode_image(&Image::new(16, 16, 3), Some(&payload(addr.0)));
+    rt.kernel.fs.put("/attack.simg", img);
+    let _ = rt.call("cv2.imread", &[Value::from("/attack.simg")]);
+    (rt, id)
+}
+
+/// **§5.4 and §A.7 case studies**: the autonomous drone, the MComix3
+/// viewer leak, and the StegoNet trojan model — each run unprotected and
+/// under FreePart.
+pub fn case_studies() {
     // ---------------- §5.4.1 drone ----------------
     println!("\n== §5.4.1 Autonomous object-tracking drone ==");
     let dos = |surface: &mut dyn ApiSurface| {
@@ -91,17 +163,8 @@ fn main() {
             )),
         },
     );
-    let log = fp.exploit_log.clone();
-    let (kernel, objects, host) = fp.attack_view();
-    let v = judge(
-        &AttackGoal::Exfiltrate {
-            marker: b"private-scan".to_vec(),
-        },
-        kernel,
-        objects,
-        host,
-        &log,
-    );
+    let marker = b"private-scan".to_vec();
+    let v = judge_attack(&mut fp, &AttackGoal::Exfiltrate { marker });
     println!("recent-file-name leak under FreePart: {v:?} (paper: prevented twice over)");
 
     // ---------------- §A.7 StegoNet ----------------

@@ -1,7 +1,7 @@
-//! Experiment runners behind the per-table/figure report binaries.
+//! Experiment runners behind the sections of the `all_reports` binary.
 //!
 //! Everything here measures the *simulated* system — virtual time, IPC
-//! counters, attack verdicts — deterministically. The report binaries
+//! counters, attack verdicts — deterministically. The report sections
 //! print these next to the paper's published numbers (EXPERIMENTS.md
 //! records both).
 
@@ -9,10 +9,11 @@ use freepart::{PartitionPlan, Policy, Runtime};
 use freepart_analysis::{HybridReport, SyscallProfile};
 use freepart_apps::omr::{self, OmrConfig};
 use freepart_apps::{resolve, run_app, RunOptions, TABLE6};
-use freepart_attacks::{judge, payloads, AttackGoal};
+use freepart_attacks::{judge, payloads, AttackGoal, Verdict};
 use freepart_baselines::{build, ApiSurface, SchemeKind};
 use freepart_frameworks::api::{ApiId, ApiRegistry, ApiType};
 use freepart_frameworks::registry::standard_registry;
+use freepart_frameworks::{ExploitPayload, ObjectId};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -64,7 +65,7 @@ pub fn drone_workload() -> freepart_apps::drone::DroneConfig {
     }
 }
 
-/// One row of the pipelined-execution experiment (`pipeline` binary).
+/// One row of the pipelined-execution experiment (`pipeline` section).
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// Execution mode.
@@ -132,12 +133,19 @@ pub fn pipeline_comparison(frames: u32) -> Vec<PipelineRun> {
     rows
 }
 
-/// Performance metrics of one scheme on the motivating example
-/// (Table 9's columns).
+/// A benign mission: the OMR grader or the drone control loop, each
+/// with the caller's workload size.
 #[derive(Debug, Clone)]
-pub struct SchemeRun {
-    /// The scheme.
-    pub kind: SchemeKind,
+pub enum Mission {
+    /// Grade an OMR batch.
+    Omr(OmrConfig),
+    /// Fly the drone control loop.
+    Drone(freepart_apps::drone::DroneConfig),
+}
+
+/// What one benign mission cost on one surface (Table 9's columns).
+#[derive(Debug, Clone)]
+pub struct MissionRun {
     /// IPC messages.
     pub ipc: u64,
     /// Bytes moved across processes.
@@ -148,27 +156,40 @@ pub struct SchemeRun {
     pub time_ns: u64,
     /// Processes used.
     pub processes: usize,
-    /// Submissions graded (sanity: workload completed).
+    /// Submissions graded or frames processed (sanity: the workload ran).
     pub completed: u32,
 }
 
-/// Runs the benign OMR workload under one scheme.
-pub fn omr_run(kind: SchemeKind) -> SchemeRun {
-    let reg = standard_registry();
-    let universe = omr::omr_universe(&reg);
-    let mut surface = build(kind, standard_registry(), &universe);
+/// Runs `mission` on `surface` from zeroed accounting, asserts that it
+/// ran (and, for OMR, graded without a call error), and reads back its
+/// virtual time and traffic counters.
+pub fn benign_run(surface: &mut dyn ApiSurface, mission: &Mission) -> MissionRun {
     surface.kernel_mut().reset_accounting();
-    let r = omr::run(surface.as_mut(), &omr_workload());
+    let completed = match mission {
+        Mission::Omr(cfg) => {
+            let r = omr::run(surface, cfg);
+            assert!(r.errors.is_empty(), "benign OMR run errored");
+            r.completed
+        }
+        Mission::Drone(cfg) => freepart_apps::drone::run(surface, cfg).frames_processed,
+    };
+    assert!(completed > 0, "workload must actually run");
     let m = surface.kernel().metrics();
-    SchemeRun {
-        kind,
+    MissionRun {
         ipc: m.ipc_messages,
         transfer_bytes: m.total_transfer_bytes(),
         copy_ops: m.copy_ops,
         time_ns: surface.kernel().clock().now_ns(),
         processes: surface.process_count(),
-        completed: r.completed,
+        completed,
     }
+}
+
+/// Runs the standard benign OMR workload under one scheme.
+pub fn omr_run(kind: SchemeKind) -> MissionRun {
+    let universe = omr::omr_universe(&standard_registry());
+    let mut surface = build(kind, standard_registry(), &universe);
+    benign_run(surface.as_mut(), &Mission::Omr(omr_workload()))
 }
 
 /// Attack verdicts for one scheme on the motivating example (Table 1's
@@ -185,83 +206,76 @@ pub struct SchemeAttacks {
     pub d_prevented: bool,
 }
 
-fn fresh(kind: SchemeKind) -> (ApiRegistry, Vec<ApiId>, Box<dyn ApiSurface>) {
-    let reg = standard_registry();
-    let universe = omr::omr_universe(&reg);
-    let surface = build(kind, standard_registry(), &universe);
-    (reg, universe, surface)
+/// The M attack on the motivating example: learns `template`'s address
+/// from a benign run on `probe` (the paper's "attacker knows exact
+/// addresses"), then grades `samples` submissions on `target`, the one
+/// at `evil_at` carrying a CVE-2017-12597 write of `fill` over
+/// `template`. Returns whether the corruption was prevented, and
+/// `template`'s id on `target`.
+pub fn corrupt_template(
+    probe: &mut dyn ApiSurface,
+    target: &mut dyn ApiSurface,
+    samples: u32,
+    evil_at: u32,
+    fill: Vec<u8>,
+) -> (bool, ObjectId) {
+    let r = omr::run(probe, &OmrConfig::benign(0));
+    let addr = probe.objects().meta(r.template).unwrap().buffer.unwrap().0;
+    let payload = payloads::corrupt("CVE-2017-12597", addr.0, fill);
+    let r = omr::run(target, &attack_batch(samples, evil_at, payload));
+    let goal = AttackGoal::CorruptObject {
+        id: r.template,
+        original: r.template_original,
+    };
+    (judge_attack(target, &goal).prevented(), r.template)
+}
+
+/// The C attack on the motivating example: one benign sample first (so
+/// filters are sealed where the scheme has them), then a CVE-2017-17760
+/// payload rewriting the code page of the process that runs `imread`.
+/// Returns whether the rewrite was prevented.
+pub fn rewrite_code(surface: &mut dyn ApiSurface) -> bool {
+    omr::run(surface, &OmrConfig::benign(1));
+    let code = surface.code_target();
+    let payload = payloads::code_rewrite("CVE-2017-17760", code);
+    omr::run(surface, &attack_batch(2, 0, payload));
+    judge_attack(surface, &AttackGoal::RewriteCode).prevented()
+}
+
+/// An attack batch on the motivating example: `samples` submissions of
+/// two marks each, the one at `evil_at` crafted with `payload`.
+pub fn attack_batch(samples: u32, evil_at: u32, payload: ExploitPayload) -> OmrConfig {
+    OmrConfig {
+        samples,
+        boxes_per_sample: 2,
+        evil_sample: Some((evil_at, payload)),
+        evil_imshow: None,
+    }
+}
+
+/// Judges `goal` against `surface`'s post-attack state, from ground
+/// truth.
+pub fn judge_attack(surface: &mut dyn ApiSurface, goal: &AttackGoal) -> Verdict {
+    let log = surface.exploit_log().to_vec();
+    let (kernel, objects, host) = surface.attack_view();
+    judge(goal, kernel, objects, host, &log)
 }
 
 /// Launches the three Table 1 attacks against one scheme, each on a
 /// fresh instance, and judges them from ground truth.
 pub fn omr_attacks(kind: SchemeKind) -> SchemeAttacks {
-    // ---- M: corrupt `template` via the imread CVE ----
-    let m_prevented = {
-        let (_, _, mut s) = fresh(kind);
-        // Learn the template address with a probe instance of the same
-        // scheme (the paper's "attacker knows exact addresses").
-        let addr = {
-            let (_, _, mut probe) = fresh(kind);
-            let r = omr::run(probe.as_mut(), &OmrConfig::benign(0));
-            probe.objects().meta(r.template).unwrap().buffer.unwrap().0
-        };
-        let cfg = OmrConfig {
-            samples: 3,
-            boxes_per_sample: 2,
-            evil_sample: Some((
-                1,
-                payloads::corrupt("CVE-2017-12597", addr.0, vec![0xEE; 32]),
-            )),
-            evil_imshow: None,
-        };
-        let r = omr::run(s.as_mut(), &cfg);
-        let log = s.exploit_log().to_vec();
-        let (kernel, objects, host) = s.attack_view();
-        judge(
-            &AttackGoal::CorruptObject {
-                id: r.template,
-                original: r.template_original,
-            },
-            kernel,
-            objects,
-            host,
-            &log,
-        )
-        .prevented()
-    };
-
-    // ---- C: rewrite API code via the imread CVE ----
-    let c_prevented = {
-        let (_, _, mut s) = fresh(kind);
-        // Warm up so filters are sealed where the scheme has them.
-        omr::run(s.as_mut(), &OmrConfig::benign(1));
-        let code = s.code_target();
-        let cfg = OmrConfig {
-            samples: 2,
-            boxes_per_sample: 2,
-            evil_sample: Some((0, payloads::code_rewrite("CVE-2017-17760", code))),
-            evil_imshow: None,
-        };
-        omr::run(s.as_mut(), &cfg);
-        let log = s.exploit_log().to_vec();
-        let (kernel, objects, host) = s.attack_view();
-        judge(&AttackGoal::RewriteCode, kernel, objects, host, &log).prevented()
-    };
-
-    // ---- D: crash the application via the imread CVE ----
-    let d_prevented = {
-        let (_, _, mut s) = fresh(kind);
-        let cfg = OmrConfig {
-            samples: 3,
-            boxes_per_sample: 2,
-            evil_sample: Some((1, payloads::dos("CVE-2017-14136"))),
-            evil_imshow: None,
-        };
-        omr::run(s.as_mut(), &cfg);
-        let log = s.exploit_log().to_vec();
-        let (kernel, objects, host) = s.attack_view();
-        judge(&AttackGoal::CrashHost, kernel, objects, host, &log).prevented()
-    };
+    let universe = omr::omr_universe(&standard_registry());
+    let fresh = || build(kind, standard_registry(), &universe);
+    let (m_prevented, _) =
+        corrupt_template(fresh().as_mut(), fresh().as_mut(), 3, 1, vec![0xEE; 32]);
+    let c_prevented = rewrite_code(fresh().as_mut());
+    // D: crash the application via the imread CVE.
+    let mut s = fresh();
+    omr::run(
+        s.as_mut(),
+        &attack_batch(3, 1, payloads::dos("CVE-2017-14136")),
+    );
+    let d_prevented = judge_attack(s.as_mut(), &AttackGoal::CrashHost).prevented();
 
     SchemeAttacks {
         kind,
@@ -425,11 +439,11 @@ pub fn fig4_point(n: u32, seeds: u64) -> f64 {
     // The Fig. 4 workload stresses the hot-loop pair: many
     // rectangle/putText annotations per submission (the paper's example
     // executes them in a hot loop).
-    let workload = OmrConfig {
+    let workload = Mission::Omr(OmrConfig {
         samples: 6,
         boxes_per_sample: 120,
         ..OmrConfig::default()
-    };
+    });
     let mut total = 0.0;
     for seed in 0..seeds {
         let reg = standard_registry();
@@ -439,9 +453,7 @@ pub fn fig4_point(n: u32, seeds: u64) -> f64 {
             plan,
             ..Policy::freepart()
         });
-        rt.kernel.reset_accounting();
-        omr::run(&mut rt, &workload);
-        total += rt.kernel.clock().now_ns() as f64;
+        total += benign_run(&mut rt, &workload).time_ns as f64;
     }
     total / seeds as f64
 }
@@ -606,7 +618,7 @@ mod tests {
 
     #[test]
     fn overhead_ordering_matches_table9_shape() {
-        let by_kind: BTreeMap<SchemeKind, SchemeRun> =
+        let by_kind: BTreeMap<SchemeKind, MissionRun> =
             SchemeKind::ALL.iter().map(|&k| (k, omr_run(k))).collect();
         let t = |k: SchemeKind| by_kind[&k].time_ns as f64;
         let base = t(SchemeKind::Original);

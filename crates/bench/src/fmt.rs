@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the report binaries.
+//! Plain-text table rendering for the report sections.
 
 /// A simple fixed-layout table printer.
 #[derive(Debug, Default)]

@@ -1,15 +1,17 @@
 //! # freepart-bench — the evaluation harness
 //!
-//! One report binary per table and figure of the paper (see DESIGN.md's
-//! experiment index), all built on the [`experiments`] runners, plus
-//! Criterion micro-benchmarks of the underlying mechanisms.
+//! The [`experiments`] runners behind one report binary, `all_reports`,
+//! whose sections regenerate every table and figure of the paper (see
+//! DESIGN.md's experiment index) plus the deterministic benches
+//! (`hotpath`, `pipeline`, `adaptive`, `restart`), all in one process.
+//! Two wall-clock benches stay separate binaries, and Criterion
+//! micro-benchmarks time the underlying mechanisms.
 //!
 //! ```text
-//! cargo run -p freepart-bench --bin table1    # … table2 … table12
-//! cargo run -p freepart-bench --bin fig4      # fig6 fig7 fig13
-//! cargo run -p freepart-bench --bin security_analysis
-//! cargo run -p freepart-bench --bin case_studies
-//! cargo run -p freepart-bench --bin all_reports
+//! cargo run --release -p freepart-bench --bin all_reports                  # every section
+//! cargo run --release -p freepart-bench --bin all_reports -- table9 fig13  # a few
+//! cargo run --release -p freepart-bench --bin freepart-replay
+//! cargo run --release -p freepart-bench --bin multitenant
 //! cargo bench -p freepart-bench
 //! ```
 
@@ -20,10 +22,11 @@ pub mod experiments;
 pub mod fmt;
 
 pub use experiments::{
-    app_overhead, cve_apis_isolated, cve_sweep, drone_universe, drone_workload, fast_install,
-    fig13_sweep, fig4_point, fig4_sweep, granularity, mean_std, omr_attacks, omr_run,
-    pipeline_comparison, shared_analysis, table7_allowlists, AppOverhead, CveVerdict, PipelineRun,
-    SchemeAttacks, SchemeRun,
+    app_overhead, attack_batch, benign_run, corrupt_template, cve_apis_isolated, cve_sweep,
+    drone_universe, drone_workload, fast_install, fig13_sweep, fig4_point, fig4_sweep, granularity,
+    judge_attack, mean_std, omr_attacks, omr_run, omr_workload, pipeline_comparison, rewrite_code,
+    shared_analysis, table7_allowlists, AppOverhead, CveVerdict, Mission, MissionRun, PipelineRun,
+    SchemeAttacks,
 };
 pub use fmt::Table;
 
