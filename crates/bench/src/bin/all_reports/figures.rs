@@ -153,7 +153,7 @@ pub fn fig13() {
     let mut t = Table::new(["ID", "Application", "FreePart overhead", "w/o LDC", "bar"]);
     let mut sum = 0.0;
     let mut sum_no_ldc = 0.0;
-    for r in &rows {
+    for r in rows {
         let o = r.overhead();
         let n = r.overhead_no_ldc();
         sum += o;

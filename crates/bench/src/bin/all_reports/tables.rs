@@ -514,7 +514,7 @@ pub fn table12() {
     let rows = fig13_sweep();
     let mut t = Table::new(["Application", "Lazy copies", "Non-lazy copies", "Lazy %"]);
     let (mut lazy_total, mut nonlazy_total) = (0u64, 0u64);
-    for r in &rows {
+    for r in rows {
         lazy_total += r.ldc_copies;
         nonlazy_total += r.host_copies;
         let pct = 100.0 * r.ldc_copies as f64 / (r.ldc_copies + r.host_copies).max(1) as f64;

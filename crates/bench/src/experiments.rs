@@ -424,9 +424,11 @@ pub fn app_overhead(id: u32) -> AppOverhead {
     }
 }
 
-/// Runs the full 23-application sweep.
-pub fn fig13_sweep() -> Vec<AppOverhead> {
-    TABLE6.iter().map(|s| app_overhead(s.id)).collect()
+/// The full 23-application sweep, run once per process (Table 12 and
+/// Fig. 13 both read it, and it is deterministic).
+pub fn fig13_sweep() -> &'static [AppOverhead] {
+    static CELL: OnceLock<Vec<AppOverhead>> = OnceLock::new();
+    CELL.get_or_init(|| TABLE6.iter().map(|s| app_overhead(s.id)).collect())
 }
 
 // ----------------------------------------------------------------------

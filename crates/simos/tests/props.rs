@@ -1,10 +1,13 @@
 //! Property tests of kernel-level invariants under randomized operation
 //! sequences.
 
+use freepart_simos::commit::{fold_bytes, mix, FINGERPRINT_SEED};
 use freepart_simos::{
-    FaultKind, FdRule, Kernel, Perms, Syscall, SyscallFilter, SyscallNo, PAGE_SIZE,
+    Addr, AddressSpace, Errno, FaultKind, FdRule, Kernel, Perms, SimError, Syscall, SyscallFilter,
+    SyscallNo, PAGE_SIZE,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum MemOp {
@@ -193,4 +196,436 @@ proptest! {
             }
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// The dense page table against the sparse page walk it replaced
+// ----------------------------------------------------------------------
+
+/// First heap address of every address space (the first allocation's
+/// base; the property checks it).
+const HEAP_BASE: u64 = 0x1000_0000;
+
+/// One page of the reference model: permissions, bytes, write count.
+struct ModelPage {
+    perms: Perms,
+    data: Vec<u8>,
+    writes: u64,
+}
+
+/// The reference address space: pages in a `BTreeMap` keyed by base
+/// address, every range walked page by page in ascending order, with
+/// the fingerprint folded exactly as `AddressSpace` documents it. A
+/// range whose end passes `u64::MAX` is unmapped.
+struct Model {
+    pages: BTreeMap<u64, ModelPage>,
+    brk: u64,
+    fp: u64,
+}
+
+/// Page bases of the first and last page of `[addr, addr+len)`, a
+/// length of 0 meaning the page containing `addr`; `None` when the end
+/// passes `u64::MAX`.
+fn span(addr: u64, len: u64) -> Option<(u64, u64)> {
+    let end = addr.checked_add(len.saturating_sub(1))?;
+    Some((addr & !(PAGE_SIZE - 1), end & !(PAGE_SIZE - 1)))
+}
+
+/// The page bases `first..=last`, ascending.
+fn walk(first: u64, last: u64) -> impl Iterator<Item = u64> {
+    (first..=last).step_by(PAGE_SIZE as usize)
+}
+
+impl Model {
+    fn new() -> Model {
+        Model {
+            pages: BTreeMap::new(),
+            brk: HEAP_BASE,
+            fp: FINGERPRINT_SEED,
+        }
+    }
+
+    fn alloc(&mut self, len: u64, perms: Perms) -> Addr {
+        let base = self.brk;
+        let pages = len.div_ceil(PAGE_SIZE);
+        for i in 0..pages {
+            let page = ModelPage {
+                perms,
+                data: vec![0; PAGE_SIZE as usize],
+                writes: 0,
+            };
+            self.pages.insert(base + i * PAGE_SIZE, page);
+        }
+        self.brk = base + pages * PAGE_SIZE;
+        self.fp = mix(mix(mix(mix(self.fp, 1), base), pages), perms.bits().into());
+        Addr(base)
+    }
+
+    fn unmap(&mut self, addr: u64, len: u64) {
+        let Some((first, last)) = span(addr, len) else {
+            return;
+        };
+        let doomed: Vec<u64> = self.pages.range(first..=last).map(|(p, _)| *p).collect();
+        for p in &doomed {
+            self.pages.remove(p);
+        }
+        if !doomed.is_empty() {
+            self.fp = mix(mix(mix(self.fp, 2), first), doomed.len() as u64);
+        }
+    }
+
+    fn protect(&mut self, addr: u64, len: u64, perms: Perms) -> Result<u64, FaultKind> {
+        let (first, last) = span(addr, len).ok_or(FaultKind::Unmapped)?;
+        if !walk(first, last).all(|p| self.pages.contains_key(&p)) {
+            return Err(FaultKind::Unmapped);
+        }
+        let mut changed = 0;
+        for p in walk(first, last) {
+            let page = self.pages.get_mut(&p).unwrap();
+            if page.perms != perms {
+                page.perms = perms;
+                changed += 1;
+            }
+        }
+        if changed > 0 {
+            self.fp = mix(
+                mix(mix(mix(self.fp, 3), first), changed),
+                perms.bits().into(),
+            );
+        }
+        Ok(changed)
+    }
+
+    fn perms_match(&self, addr: u64, len: u64, perms: Perms) -> bool {
+        span(addr, len).is_some_and(|(first, last)| {
+            walk(first, last).all(|p| self.pages.get(&p).is_some_and(|pg| pg.perms == perms))
+        })
+    }
+
+    fn is_mapped(&self, addr: u64, len: u64) -> bool {
+        span(addr, len)
+            .is_some_and(|(first, last)| walk(first, last).all(|p| self.pages.contains_key(&p)))
+    }
+
+    fn write_epoch(&self, addr: u64, len: u64) -> Option<u64> {
+        let (first, last) = span(addr, len)?;
+        walk(first, last)
+            .map(|p| self.pages.get(&p).map(|pg| pg.writes))
+            .sum()
+    }
+
+    fn check(&self, addr: u64, len: u64, needed: Perms) -> Result<(), FaultKind> {
+        if len == 0 {
+            return Ok(());
+        }
+        let (first, last) = span(addr, len).ok_or(FaultKind::Unmapped)?;
+        for p in walk(first, last) {
+            match self.pages.get(&p) {
+                None => return Err(FaultKind::Unmapped),
+                Some(pg) if !pg.perms.allows(needed) => return Err(FaultKind::Protection),
+                Some(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, FaultKind> {
+        self.check(addr, len, Perms::R)?;
+        let byte = |a: u64| self.pages[&(a & !(PAGE_SIZE - 1))].data[(a % PAGE_SIZE) as usize];
+        Ok((addr..addr + len).map(byte).collect())
+    }
+
+    fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), FaultKind> {
+        self.check(addr, bytes.len() as u64, Perms::W)?;
+        self.fp = fold_bytes(mix(mix(self.fp, 4), addr), bytes);
+        let mut touched = BTreeSet::new();
+        for (a, b) in (addr..).zip(bytes) {
+            let base = a & !(PAGE_SIZE - 1);
+            let page = self.pages.get_mut(&base).unwrap();
+            page.data[(a % PAGE_SIZE) as usize] = *b;
+            if touched.insert(base) {
+                page.writes += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where an operation lands, resolved against the state it meets.
+#[derive(Debug, Clone)]
+enum Place {
+    /// `off` bytes into the `i`-th allocation (modulo their count), past
+    /// its end too; a hole once unmapped.
+    Region(u8, u16),
+    /// `k` bytes below the heap base.
+    BelowHeap(u16),
+    /// `k` bytes past the start of the page two below the heap cursor,
+    /// so ranges run over the table's end.
+    TableEnd(u16),
+    /// `k` bytes below `u64::MAX`.
+    NearMax(u8),
+}
+
+/// How long the range is, resolved against its start.
+#[derive(Debug, Clone)]
+enum Len {
+    Zero,
+    One,
+    /// Up to three pages.
+    Small(u16),
+    /// To the end of the start's page, plus `k` bytes.
+    Straddle(u8),
+    /// One of a few lengths no address space can hold.
+    Huge(u8),
+}
+
+/// One `AddressSpace` call; `u8` permission fields index `perms_of`,
+/// and a write's `u8` seeds its bytes.
+#[derive(Debug, Clone)]
+enum AsOp {
+    Alloc(u16, u8),
+    Unmap(Place, Len),
+    Protect(Place, Len, u8),
+    Write(Place, Len, u8),
+    Read(Place, Len),
+    Fetch(Place),
+    PermsMatch(Place, Len, u8),
+    WriteEpoch(Place, Len),
+    IsMapped(Place, Len),
+    PermsAt(Place),
+}
+
+// `prop_oneof!` has no weights here: an arm listed twice is drawn twice
+// as often.
+fn arb_place() -> impl Strategy<Value = Place> {
+    prop_oneof![
+        (any::<u8>(), 0u16..4 * PAGE_SIZE as u16).prop_map(|(i, off)| Place::Region(i, off)),
+        (any::<u8>(), 0u16..4 * PAGE_SIZE as u16).prop_map(|(i, off)| Place::Region(i, off)),
+        (1u16..2 * PAGE_SIZE as u16).prop_map(Place::BelowHeap),
+        (0u16..4 * PAGE_SIZE as u16).prop_map(Place::TableEnd),
+        (0u8..64).prop_map(Place::NearMax),
+    ]
+}
+
+fn arb_len() -> impl Strategy<Value = Len> {
+    prop_oneof![
+        Just(Len::Zero),
+        Just(Len::One),
+        (2u16..3 * PAGE_SIZE as u16).prop_map(Len::Small),
+        (0u8..64).prop_map(Len::Straddle),
+        any::<u8>().prop_map(Len::Huge),
+    ]
+}
+
+fn arb_as_op() -> impl Strategy<Value = AsOp> {
+    prop_oneof![
+        (1u16..3 * PAGE_SIZE as u16, 0u8..7).prop_map(|(n, p)| AsOp::Alloc(n, p)),
+        (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::Unmap(a, n)),
+        (arb_place(), arb_len(), 0u8..7).prop_map(|(a, n, p)| AsOp::Protect(a, n, p)),
+        (arb_place(), arb_len(), 0u8..7).prop_map(|(a, n, p)| AsOp::Protect(a, n, p)),
+        (arb_place(), arb_len(), any::<u8>()).prop_map(|(a, n, s)| AsOp::Write(a, n, s)),
+        (arb_place(), arb_len(), any::<u8>()).prop_map(|(a, n, s)| AsOp::Write(a, n, s)),
+        (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::Read(a, n)),
+        arb_place().prop_map(AsOp::Fetch),
+        (arb_place(), arb_len(), 0u8..7).prop_map(|(a, n, p)| AsOp::PermsMatch(a, n, p)),
+        (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::WriteEpoch(a, n)),
+        (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::IsMapped(a, n)),
+        arb_place().prop_map(AsOp::PermsAt),
+    ]
+}
+
+fn perms_of(p: u8) -> Perms {
+    [
+        Perms::NONE,
+        Perms::R,
+        Perms::W,
+        Perms::X,
+        Perms::RW,
+        Perms::RX,
+        Perms::RWX,
+    ][p as usize % 7]
+}
+
+/// Every result an operation can return, so both sides compare whole.
+#[derive(Debug, PartialEq)]
+enum Out {
+    Addr(Addr),
+    Unit,
+    Changed(Result<u64, FaultKind>),
+    Access(Result<(), FaultKind>),
+    Bytes(Result<Vec<u8>, FaultKind>),
+    Flag(bool),
+    Epoch(Option<u64>),
+    Perms(Option<Perms>),
+}
+
+/// Drives `ops` through an `AddressSpace` and the reference model,
+/// comparing every result, the fingerprint and the page counts after
+/// each one.
+fn check_dense_against_sparse(ops: &[AsOp]) {
+    let mut asp = AddressSpace::new();
+    let mut model = Model::new();
+    let mut regions: Vec<(u64, u64)> = Vec::new();
+    for (step, op) in ops.iter().enumerate() {
+        let at = |place: &Place| match *place {
+            Place::Region(i, off) => match regions.get(i as usize % regions.len().max(1)) {
+                Some(&(base, _)) => base + u64::from(off),
+                None => HEAP_BASE + u64::from(off),
+            },
+            Place::BelowHeap(k) => HEAP_BASE - u64::from(k),
+            Place::TableEnd(k) => (model.brk - 2 * PAGE_SIZE).max(HEAP_BASE) + u64::from(k),
+            Place::NearMax(k) => u64::MAX - u64::from(k),
+        };
+        let len = |addr: u64, len: &Len| match *len {
+            Len::Zero => 0,
+            Len::One => 1,
+            Len::Small(n) => u64::from(n),
+            Len::Straddle(k) => PAGE_SIZE - addr % PAGE_SIZE + u64::from(k),
+            Len::Huge(s) => [
+                u64::MAX,
+                u64::MAX - 1,
+                u64::MAX / 2,
+                1 << 40,
+                u64::MAX - PAGE_SIZE,
+            ][s as usize % 5],
+        };
+        let (real, reference) = match op {
+            AsOp::Alloc(n, p) => {
+                let (n, perms) = (u64::from(*n), perms_of(*p));
+                let a = asp.alloc(n, perms);
+                regions.push((a.0, n));
+                (Out::Addr(a), Out::Addr(model.alloc(n, perms)))
+            }
+            AsOp::Unmap(place, n) => {
+                let a = at(place);
+                let n = len(a, n);
+                asp.unmap(Addr(a), n);
+                model.unmap(a, n);
+                (Out::Unit, Out::Unit)
+            }
+            AsOp::Protect(place, n, p) => {
+                let a = at(place);
+                let (n, perms) = (len(a, n), perms_of(*p));
+                (
+                    Out::Changed(asp.protect(Addr(a), n, perms)),
+                    Out::Changed(model.protect(a, n, perms)),
+                )
+            }
+            AsOp::Write(place, n, seed) => {
+                let a = at(place);
+                // A payload is real bytes: cap huge lengths at four pages.
+                let n = len(a, n).min(4 * PAGE_SIZE);
+                let bytes: Vec<u8> = (0..n).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+                (
+                    Out::Access(asp.write(Addr(a), &bytes)),
+                    Out::Access(model.write(a, &bytes)),
+                )
+            }
+            AsOp::Read(place, n) => {
+                let a = at(place);
+                let n = len(a, n);
+                (
+                    Out::Bytes(asp.read(Addr(a), n)),
+                    Out::Bytes(model.read(a, n)),
+                )
+            }
+            AsOp::Fetch(place) => {
+                let a = at(place);
+                (
+                    Out::Access(asp.fetch(Addr(a))),
+                    Out::Access(model.check(a, 1, Perms::X)),
+                )
+            }
+            AsOp::PermsMatch(place, n, p) => {
+                let a = at(place);
+                let (n, perms) = (len(a, n), perms_of(*p));
+                (
+                    Out::Flag(asp.perms_match(Addr(a), n, perms)),
+                    Out::Flag(model.perms_match(a, n, perms)),
+                )
+            }
+            AsOp::WriteEpoch(place, n) => {
+                let a = at(place);
+                let n = len(a, n);
+                (
+                    Out::Epoch(asp.write_epoch(Addr(a), n)),
+                    Out::Epoch(model.write_epoch(a, n)),
+                )
+            }
+            AsOp::IsMapped(place, n) => {
+                let a = at(place);
+                let n = len(a, n);
+                (
+                    Out::Flag(asp.is_mapped(Addr(a), n)),
+                    Out::Flag(model.is_mapped(a, n)),
+                )
+            }
+            AsOp::PermsAt(place) => {
+                let a = at(place);
+                let page = model.pages.get(&(a & !(PAGE_SIZE - 1)));
+                (
+                    Out::Perms(asp.perms_at(Addr(a))),
+                    Out::Perms(page.map(|pg| pg.perms)),
+                )
+            }
+        };
+        prop_assert_eq!(real, reference, "step {}: {:?}", step, op);
+        prop_assert_eq!(asp.fingerprint(), model.fp, "step {}: {:?}", step, op);
+        prop_assert_eq!(asp.page_count(), model.pages.len(), "step {}", step);
+        prop_assert_eq!(asp.mapped_bytes(), model.pages.len() as u64 * PAGE_SIZE);
+    }
+}
+
+proptest! {
+    /// The dense page table answers every operation exactly as the
+    /// sparse page walk does: results (fault kinds and changed-page
+    /// counts included), fingerprint and page counts, over addresses in
+    /// regions, in unmap holes, below the heap, across the table's end
+    /// and next to `u64::MAX`.
+    #[test]
+    fn dense_table_matches_sparse_walk(ops in proptest::collection::vec(arb_as_op(), 1..80)) {
+        check_dense_against_sparse(&ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// [`dense_table_matches_sparse_walk`] over 4096 cases; run in
+    /// release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn dense_table_matches_sparse_walk_deep(ops in proptest::collection::vec(arb_as_op(), 1..80)) {
+        check_dense_against_sparse(&ops);
+    }
+}
+
+/// A range whose end passes `u64::MAX` is unmapped: `mprotect` over it
+/// is `EINVAL` and changes nothing, and a load or store over it crashes
+/// only the caller with an `Unmapped` fault.
+#[test]
+fn ranges_past_u64_max_are_unmapped() {
+    let mut k = Kernel::new();
+    let p = k.spawn("p");
+    let addr = k.alloc(p, PAGE_SIZE, Perms::RW).unwrap();
+    let mprotect = Syscall::Mprotect {
+        addr,
+        len: u64::MAX,
+        perms: Perms::R,
+    };
+    assert_eq!(k.syscall(p, mprotect), Err(SimError::Errno(Errno::Einval)));
+    assert_eq!(k.metrics().protected_pages, 0);
+    k.mem_write(p, addr, b"still writable").unwrap();
+
+    let unmapped = |e: SimError| matches!(e, SimError::Fault(f) if f.kind == FaultKind::Unmapped);
+    let reader = k.spawn("reader");
+    let at = k.alloc(reader, 64, Perms::RW).unwrap();
+    assert!(unmapped(k.mem_read(reader, at, u64::MAX).unwrap_err()));
+    let writer = k.spawn("writer");
+    let wild = Addr(u64::MAX - 3);
+    assert!(unmapped(
+        k.mem_write(writer, wild, &[0x41; 16]).unwrap_err()
+    ));
+    assert!(!k.is_running(reader) && !k.is_running(writer));
+    assert!(k.is_running(p));
 }
