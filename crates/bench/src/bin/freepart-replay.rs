@@ -13,10 +13,11 @@
 //! fails when the larger costs 3x the smaller or more — the digest must
 //! stay O(1) in kernel size, since recording pays it on every step.
 //! `record_overhead` folds a recorded 200-tenant pooled log through
-//! `Kernel::apply`, alternating a plain kernel with a recording one,
-//! and fails when the recorded step costs 1.5x the unrecorded one or
-//! more: the digest, the outcome summary and the log append together
-//! must stay cheap next to the step itself.
+//! `Kernel::apply` in nine pairs of passes of at least 20 ms each, one
+//! on plain kernels and one on recording ones, and fails when the
+//! median pair's recorded step costs 1.5x the unrecorded one or more:
+//! the digest, the outcome summary and the log append together must
+//! stay cheap next to the step itself.
 //!
 //! Results land in `BENCH_replay.json` at the repo root (hand-rolled
 //! JSON; the suite carries no serde) and as a table on stdout.
@@ -38,7 +39,7 @@ use freepart_frameworks::registry::standard_registry;
 use freepart_simos::core::step;
 use freepart_simos::replay::{audit, replay};
 use freepart_simos::{CommitLog, CommitOp, FaultKind, Kernel, KernelState};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One recorded-and-replayed attack scenario.
 struct Scenario {
@@ -124,11 +125,29 @@ fn digest_ns(rt: &Runtime) -> f64 {
     )
 }
 
-/// Median wall ns per record of folding `log` through `Kernel::apply`,
-/// as (unrecorded, recorded). The two passes alternate, so machine drift
-/// lands on both.
-fn apply_ns(log: &CommitLog) -> (f64, f64) {
-    let pass = |record: bool| {
+/// Wall time each timed pass of the record-overhead gate lasts at
+/// least. One fold of the pooled log takes only a few ms, so a single
+/// preempted fold would flip its pair.
+const MIN_PASS: Duration = Duration::from_millis(20);
+
+/// The record-overhead gate's figures: records in the folded log, the
+/// median unrecorded and recorded wall ns per record, and the median,
+/// least and greatest recorded/unrecorded ratio over the pairs.
+struct RecordOverhead {
+    records: u64,
+    plain: f64,
+    recorded: f64,
+    ratio: f64,
+    pair_min: f64,
+    pair_max: f64,
+}
+
+/// Times folding `log` through `Kernel::apply` in nine pairs of an
+/// unrecorded and a recorded pass, so machine drift lands on both. Each
+/// pass folds the log into fresh kernels until it has lasted
+/// [`MIN_PASS`].
+fn record_overhead(log: &CommitLog) -> RecordOverhead {
+    let fold = |record: bool| {
         // Cloned before the clock starts: the copy is neither side's cost.
         let ops: Vec<CommitOp> = log.records().iter().map(|r| r.op.clone()).collect();
         let mut k = Kernel::with_cost_model(log.genesis().clone());
@@ -139,10 +158,27 @@ fn apply_ns(log: &CommitLog) -> (f64, f64) {
         for op in ops {
             let _ = k.apply(op);
         }
-        start.elapsed().as_nanos() as f64 / log.len() as f64
+        start.elapsed()
     };
-    let (plain, recorded) = (0..9).map(|_| (pass(false), pass(true))).unzip();
-    (median(plain), median(recorded))
+    let pass = |record: bool| {
+        let (mut spent, mut folds) = (Duration::ZERO, 0);
+        while spent < MIN_PASS {
+            spent += fold(record);
+            folds += 1;
+        }
+        spent.as_nanos() as f64 / (folds * log.len()) as f64
+    };
+    let pairs: Vec<(f64, f64)> = (0..9).map(|_| (pass(false), pass(true))).collect();
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(p, r)| r / p).collect();
+    ratios.sort_by(f64::total_cmp);
+    RecordOverhead {
+        records: log.len(),
+        plain: median(pairs.iter().map(|&(p, _)| p).collect()),
+        recorded: median(pairs.iter().map(|&(_, r)| r).collect()),
+        ratio: ratios[ratios.len() / 2],
+        pair_min: ratios[0],
+        pair_max: ratios[ratios.len() - 1],
+    }
 }
 
 /// Prints one ratio gate, and fails the run unless `ratio` is under `max`.
@@ -224,7 +260,7 @@ fn to_json(
     rows: &[Scenario],
     throughput: &[(&str, u64, f64)],
     scaling: (f64, f64),
-    (records, plain, recorded): (u64, f64, f64),
+    o: &RecordOverhead,
 ) -> String {
     let mut out = String::from("{\n  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -270,10 +306,10 @@ fn to_json(
         large / small
     ));
     out.push_str(&format!(
-        "  \"record_overhead\": {{\"records\": {records}, \"unrecorded_ns\": {plain:.1}, \
-         \"recorded_ns\": {recorded:.1}, \"ratio\": {:.3}, \
-         \"max_ratio\": {MAX_RECORD_RATIO:.1}}}\n}}\n",
-        recorded / plain
+        "  \"record_overhead\": {{\"records\": {}, \"unrecorded_ns\": {:.1}, \
+         \"recorded_ns\": {:.1}, \"ratio\": {:.3}, \"pair_ratio_min\": {:.3}, \
+         \"pair_ratio_max\": {:.3}, \"max_ratio\": {MAX_RECORD_RATIO:.1}}}\n}}\n",
+        o.records, o.plain, o.recorded, o.ratio, o.pair_min, o.pair_max
     ));
     out
 }
@@ -389,18 +425,22 @@ fn main() {
 
     let log = pooled(RECORD_TENANTS, true).kernel.take_commit_log();
     let log = log.expect("recording was on");
-    let (plain, recorded) = apply_ns(&log);
+    let overhead = record_overhead(&log);
     gate(
         format!(
-            "recorded step: {recorded:.0} ns vs {plain:.0} ns unrecorded over {} records \
-             of a {RECORD_TENANTS}-tenant pooled log",
-            log.len()
+            "recorded step: {:.0} ns vs {:.0} ns unrecorded over {} records \
+             of a {RECORD_TENANTS}-tenant pooled log; pair ratios {:.2}-{:.2}",
+            overhead.recorded,
+            overhead.plain,
+            overhead.records,
+            overhead.pair_min,
+            overhead.pair_max
         ),
-        recorded / plain,
+        overhead.ratio,
         MAX_RECORD_RATIO,
     );
 
-    let json = to_json(&rows, &throughput, scaling, (log.len(), plain, recorded));
+    let json = to_json(&rows, &throughput, scaling, &overhead);
     write_artifact("BENCH_replay.json", &json);
     println!("wrote BENCH_replay.json ({} scenarios)", rows.len());
 }

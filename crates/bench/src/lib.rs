@@ -4,15 +4,15 @@
 //! whose sections regenerate every table and figure of the paper (see
 //! DESIGN.md's experiment index) plus the deterministic benches
 //! (`hotpath`, `pipeline`, `adaptive`, `restart`), all in one process.
-//! Two wall-clock benches stay separate binaries, and Criterion
-//! micro-benchmarks time the underlying mechanisms.
+//! Two wall-clock benches stay separate binaries. The wall-clock
+//! benchmark, freepart-perf, is a package of its own under
+//! `src/bin/freepart-perf`.
 //!
 //! ```text
 //! cargo run --release -p freepart-bench --bin all_reports                  # every section
 //! cargo run --release -p freepart-bench --bin all_reports -- table9 fig13  # a few
 //! cargo run --release -p freepart-bench --bin freepart-replay
 //! cargo run --release -p freepart-bench --bin multitenant
-//! cargo bench -p freepart-bench
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,9 @@ use freepart::{CallError, FrameworkState, PartitionPlan, Policy, Runtime};
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
-use freepart_frameworks::{fileio, image::Image, ExploitAction, ExploitPayload, Value};
+use freepart_frameworks::{
+    fileio, image::Image, ExploitAction, ExploitPayload, FrameworkError, ObjectKind, Value,
+};
 use freepart_simos::device::Camera;
 
 fn rt_with(policy: Policy) -> Runtime {
@@ -280,6 +282,93 @@ fn exploit_read_of_a_wrapping_length_is_contained() {
         len: u64::MAX,
         dest: "attacker.example:443".into(),
     });
+}
+
+/// A file of `magic` and little-endian header `fields`, nothing more.
+fn crafted_header(magic: &[u8; 4], fields: &[u32]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    for f in fields {
+        out.extend_from_slice(&f.to_le_bytes());
+    }
+    out
+}
+
+/// Loads the crafted `file` with `loader` and hands what it returns to
+/// `consumer`. Framework code runs in the simulator's own process, so a
+/// panic here would take down the host: check that every call returns,
+/// the host and the loading agent keep running, and a benign load and
+/// blur still work. Returns the kind of the loaded object.
+fn load_crafted(loader: &str, consumer: &str, file: Vec<u8>) -> Result<ObjectKind, CallError> {
+    let mut rt = rt_with(Policy::freepart());
+    rt.kernel.fs.put("/crafted", file);
+    let loaded = rt.call(loader, &[Value::from("/crafted")]);
+    if let Ok(obj) = &loaded {
+        let _ = rt.call(consumer, std::slice::from_ref(obj));
+    }
+    assert!(rt.kernel.is_running(rt.host_pid()));
+    let loading = rt.partition_of(rt.registry().id_of(loader).unwrap());
+    assert!(rt.kernel.is_running(rt.agent(loading).unwrap().pid));
+    seed_image(&mut rt, "/ok.simg", 8);
+    let img = rt.call("cv2.imread", &[Value::from("/ok.simg")]).unwrap();
+    rt.call("cv2.GaussianBlur", &[img]).unwrap();
+    loaded.map(|obj| rt.objects.meta(obj.as_obj().unwrap()).unwrap().kind.clone())
+}
+
+#[test]
+fn crafted_image_with_a_zero_dimension_is_refused() {
+    // An empty Mat of impossible geometry used to load, and the next
+    // filter's `Image::new` asserted on it.
+    for geometry in [[4, 0, 1], [4, 4, 0], [0, 4, 1]] {
+        let loaded = load_crafted(
+            "cv2.imread",
+            "cv2.GaussianBlur",
+            crafted_header(b"SIMG", &geometry),
+        );
+        assert!(
+            matches!(loaded, Err(CallError::Framework(FrameworkError::Parse(_)))),
+            "{geometry:?}: {loaded:?}"
+        );
+    }
+}
+
+#[test]
+fn crafted_image_with_an_overflowing_size_is_refused() {
+    // w·h·ch = 2^64: the byte count wrapped to 0, so an empty Mat
+    // claimed the full geometry and the blur indexed past it.
+    let loaded = load_crafted(
+        "cv2.imread",
+        "cv2.GaussianBlur",
+        crafted_header(b"SIMG", &[1 << 22, 1 << 21, 1 << 21]),
+    );
+    assert!(
+        matches!(loaded, Err(CallError::Framework(FrameworkError::Parse(_)))),
+        "{loaded:?}"
+    );
+}
+
+#[test]
+fn crafted_tensor_rank_does_not_size_an_allocation() {
+    // Rank u32::MAX with no dims behind it once reserved 16 GiB for the
+    // shape and aborted the process. Undecodable, the 8 bytes take
+    // `torch.load`'s raw-f32 fallback instead.
+    let loaded = load_crafted(
+        "torch.load",
+        "torch.matmul",
+        crafted_header(b"STSR", &[u32::MAX]),
+    );
+    assert_eq!(loaded, Ok(ObjectKind::Tensor { shape: vec![2] }));
+}
+
+#[test]
+fn crafted_tensor_with_a_zero_dimension_is_raw_data() {
+    // A 0×4 tensor used to load, and `matmul`'s `Tensor::zeros` asserted
+    // on its output shape.
+    let loaded = load_crafted(
+        "torch.load",
+        "torch.matmul",
+        crafted_header(b"STSR", &[2, 0, 4]),
+    );
+    assert_eq!(loaded, Ok(ObjectKind::Tensor { shape: vec![4] }));
 }
 
 #[test]

@@ -93,7 +93,9 @@ pub fn encode_image(img: &Image, payload: Option<&ExploitPayload>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Structural errors per [`DecodeError`].
+/// Structural errors per [`DecodeError`]. The header is untrusted: a
+/// zero dimension, or a `w·h·ch` body past `u32` (the [`Image`] index
+/// width) or past the file, is [`DecodeError::Truncated`].
 pub fn decode_image(bytes: &[u8]) -> Result<(Image, Option<ExploitPayload>), DecodeError> {
     if bytes.len() < 16 || &bytes[..4] != IMG_MAGIC {
         return Err(DecodeError::BadMagic);
@@ -101,9 +103,17 @@ pub fn decode_image(bytes: &[u8]) -> Result<(Image, Option<ExploitPayload>), Dec
     let w = read_u32(bytes, 4)?;
     let h = read_u32(bytes, 8)?;
     let ch = read_u32(bytes, 12)?;
-    let len = (w as usize) * (h as usize) * (ch as usize);
-    let data = bytes.get(16..16 + len).ok_or(DecodeError::Truncated)?;
-    let payload = split_trailer(bytes, 16 + len)?;
+    // A zero product is a zero dimension.
+    let len = w
+        .checked_mul(h)
+        .and_then(|n| n.checked_mul(ch))
+        .filter(|&n| n > 0)
+        .ok_or(DecodeError::Truncated)?;
+    let end = 16usize
+        .checked_add(len as usize)
+        .ok_or(DecodeError::Truncated)?;
+    let data = bytes.get(16..end).ok_or(DecodeError::Truncated)?;
+    let payload = split_trailer(bytes, end)?;
     Ok((Image::from_bytes(w, h, ch, data.to_vec()), payload))
 }
 
@@ -124,22 +134,31 @@ pub fn encode_tensor(t: &Tensor, payload: Option<&ExploitPayload>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Structural errors per [`DecodeError`].
+/// Structural errors per [`DecodeError`]. The header is untrusted: a
+/// zero rank or dimension, or dims or a `4·Π dims` body past the file,
+/// is [`DecodeError::Truncated`], found before anything is allocated.
 pub fn decode_tensor(bytes: &[u8]) -> Result<(Tensor, Option<ExploitPayload>), DecodeError> {
     if bytes.len() < 8 || &bytes[..4] != TSR_MAGIC {
         return Err(DecodeError::BadMagic);
     }
     let rank = read_u32(bytes, 4)? as usize;
-    let mut shape = Vec::with_capacity(rank);
-    for i in 0..rank {
-        shape.push(read_u32(bytes, 8 + 4 * i)?);
+    // The dims must be in the file before they are read into a Vec.
+    if rank == 0 || rank > (bytes.len() - 8) / 4 {
+        return Err(DecodeError::Truncated);
     }
     let data_at = 8 + 4 * rank;
-    let elems: usize = shape.iter().map(|&d| d as usize).product();
-    let data = bytes
-        .get(data_at..data_at + elems * 4)
+    let shape = (0..rank)
+        .map(|i| read_u32(bytes, 8 + 4 * i))
+        .collect::<Result<Vec<u32>, _>>()?;
+    // A zero product is a zero dimension.
+    let len = shape
+        .iter()
+        .try_fold(4usize, |n, &d| n.checked_mul(d as usize))
+        .filter(|&n| n > 0)
         .ok_or(DecodeError::Truncated)?;
-    let payload = split_trailer(bytes, data_at + elems * 4)?;
+    let end = data_at.checked_add(len).ok_or(DecodeError::Truncated)?;
+    let data = bytes.get(data_at..end).ok_or(DecodeError::Truncated)?;
+    let payload = split_trailer(bytes, end)?;
     Ok((Tensor::from_bytes(&shape, data), payload))
 }
 

@@ -8,9 +8,10 @@
 //! isolation meaningful: an exploit can only touch buffers mapped — and
 //! writable — in its own process.
 //!
-//! The store also implements the two data-movement strategies the paper
-//! compares: eager deep copy through the host process and direct
-//! agent-to-agent transfer (the Lazy Data Copy fast path).
+//! The store's one copy primitive, `migrate_direct`, serves both
+//! data-movement strategies the paper compares: eager deep copy through
+//! the host process (two hops) and direct agent-to-agent transfer (one
+//! hop, the Lazy Data Copy fast path).
 
 use freepart_simos::{Addr, Kernel, Perms, Pid, ShmId, SimError, WindowId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -338,50 +339,6 @@ impl ObjectStore {
         Ok(Some(seg))
     }
 
-    /// Moves an object's payload into `dst` *via* an intermediate process
-    /// (the non-LDC path: two copies, src → host → dst), as eager
-    /// marshalling would.
-    pub fn migrate_via(
-        &mut self,
-        kernel: &mut Kernel,
-        id: ObjectId,
-        via: Pid,
-        dst: Pid,
-    ) -> Result<(), SimError> {
-        let meta = self.objects.get(&id).expect("object id must be live");
-        if meta.home == dst {
-            return Ok(());
-        }
-        if let Some((seg, _)) = meta.shm {
-            // A shared segment needs no intermediary hop either.
-            kernel.shm_grant(seg, dst, Perms::RW)?;
-            kernel.shm_map(dst, seg)?;
-            self.objects.get_mut(&id).expect("live").home = dst;
-            return Ok(());
-        }
-        match meta.buffer {
-            None => {
-                self.objects.get_mut(&id).expect("live").home = dst;
-                Ok(())
-            }
-            Some((addr, len)) => {
-                let data = kernel.mem_read(meta.home, addr, len)?;
-                // Hop 1: into the intermediary.
-                let via_addr = kernel.alloc(via, len.max(1), Perms::RW)?;
-                kernel.mem_write(via, via_addr, &data)?;
-                kernel.charge_copy(len);
-                // Hop 2: into the destination.
-                let dst_addr = kernel.alloc(dst, len.max(1), Perms::RW)?;
-                kernel.mem_write(dst, dst_addr, &data)?;
-                kernel.charge_copy(len);
-                let meta = self.objects.get_mut(&id).expect("live");
-                meta.home = dst;
-                meta.buffer = Some((dst_addr, len));
-                Ok(())
-            }
-        }
-    }
-
     /// Duplicates an object's payload into `dst`, leaving the original in
     /// place (deep copy of an argument, as the paper's hooking does for
     /// `Mat` references).
@@ -527,21 +484,6 @@ mod tests {
         assert_eq!(d.copied_bytes, 2048);
         assert_eq!(store.meta(id).unwrap().home, b);
         assert_eq!(store.read_bytes(&mut k, id).unwrap(), vec![1; 2048]);
-    }
-
-    #[test]
-    fn migrate_via_charges_two_copies() {
-        let (mut k, a, b, mut store) = setup();
-        let host = k.spawn("host");
-        let id = store
-            .create_with_data(&mut k, a, ObjectKind::Blob, "x", &[2; 1024])
-            .unwrap();
-        let before = k.metrics();
-        store.migrate_via(&mut k, id, host, b).unwrap();
-        let d = k.metrics().since(&before);
-        assert_eq!(d.copy_ops, 2);
-        assert_eq!(d.copied_bytes, 2048);
-        assert_eq!(store.meta(id).unwrap().home, b);
     }
 
     #[test]

@@ -5,19 +5,111 @@
 use freepart_frameworks::api::{ApiKind, ApiType};
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::registry::standard_registry;
-use freepart_frameworks::{fileio, image::Image, ApiCtx, ObjectId, ObjectKind, ObjectStore, Value};
+use freepart_frameworks::{
+    fileio, image::Image, ApiCtx, ExploitAction, ExploitPayload, ObjectId, ObjectKind, ObjectStore,
+    Value,
+};
 use freepart_simos::Kernel;
 use proptest::prelude::*;
 
+/// Header fields a crafted file would pick: zero, one, the sizes whose
+/// products wrap `u32` or `usize`, and random values.
+fn edge_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(1),
+        Just(2),
+        Just(255),
+        Just(1 << 16),
+        Just(1 << 21),
+        Just(1 << 22),
+        Just(1 << 31),
+        Just(u32::MAX),
+        any::<u32>(),
+    ]
+}
+
+/// Half uniform garbage. Half a crafted file: a `SIMG` or `STSR` magic
+/// (the tensor's rank as drawn, or the count of dims that follow);
+/// header fields from [`edge_u32`], or all small so that some files
+/// decode; a body of random length; then no trailer, a well-formed
+/// `EVIL` trailer, or one whose length field is an edge value.
+fn arb_file() -> impl Strategy<Value = Vec<u8>> {
+    let crafted = (
+        0u8..3,
+        prop_oneof![
+            proptest::collection::vec(edge_u32(), 0..6),
+            proptest::collection::vec(1u32..5, 0..6),
+        ],
+        proptest::collection::vec(any::<u8>(), 0..256),
+        0u8..3,
+        (edge_u32(), proptest::collection::vec(any::<u8>(), 0..64)),
+    )
+        .prop_map(|(magic, fields, body, trailer, (evil_len, evil))| {
+            let mut out = match magic {
+                0 => b"SIMG".to_vec(),
+                1 => b"STSR".to_vec(),
+                _ => [*b"STSR", (fields.len() as u32).to_le_bytes()].concat(),
+            };
+            for f in &fields {
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            out.extend_from_slice(&body);
+            match trailer {
+                0 => {}
+                1 => {
+                    let wire = ExploitPayload {
+                        cve: "CVE-2017-12597".into(),
+                        actions: vec![ExploitAction::CrashSelf],
+                    }
+                    .to_wire_bytes();
+                    out.extend_from_slice(b"EVIL");
+                    out.extend_from_slice(&(wire.len() as u32).to_le_bytes());
+                    out.extend_from_slice(&wire);
+                }
+                _ => {
+                    out.extend_from_slice(b"EVIL");
+                    out.extend_from_slice(&evil_len.to_le_bytes());
+                    out.extend_from_slice(&evil);
+                }
+            }
+            out
+        });
+    prop_oneof![proptest::collection::vec(any::<u8>(), 0..512), crafted]
+}
+
+/// No decoder panics, and what decodes is self-consistent: an image has
+/// every dimension at least 1 and exactly `w·h·ch` bytes, a tensor a
+/// rank and every dimension at least 1 and exactly `Π dims` elements
+/// (products in `u128`, which three `u32` factors cannot wrap; a longer
+/// tensor product is checked).
+fn check_decoders(bytes: &[u8]) {
+    if let Ok((img, _)) = fileio::decode_image(bytes) {
+        prop_assert!(img.w >= 1 && img.h >= 1 && img.ch >= 1);
+        prop_assert_eq!(
+            img.data.len() as u128,
+            u128::from(img.w) * u128::from(img.h) * u128::from(img.ch)
+        );
+    }
+    if let Ok((t, _)) = fileio::decode_tensor(bytes) {
+        prop_assert!(!t.shape.is_empty() && t.shape.iter().all(|&d| d >= 1));
+        let elems = t
+            .shape
+            .iter()
+            .try_fold(1u128, |n, &d| n.checked_mul(u128::from(d)));
+        prop_assert_eq!(Some(t.data.len() as u128), elems);
+    }
+    let _ = fileio::scan_payload(bytes);
+    let _ = fileio::decode_csv(bytes);
+}
+
 proptest! {
-    /// The file decoders must never panic on arbitrary bytes — crafted
-    /// inputs are the threat model's entry point.
+    /// The file decoders must never panic on arbitrary or crafted bytes
+    /// — crafted inputs are the threat model's entry point — and never
+    /// return an object of impossible geometry.
     #[test]
-    fn decoders_never_panic_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = fileio::decode_image(&bytes);
-        let _ = fileio::decode_tensor(&bytes);
-        let _ = fileio::scan_payload(&bytes);
-        let _ = fileio::decode_csv(&bytes);
+    fn decoders_never_panic_on_garbage(bytes in arb_file()) {
+        check_decoders(&bytes);
     }
 
     /// A truncated valid image never decodes successfully into a
@@ -74,7 +166,6 @@ proptest! {
     /// API consumes it.
     #[test]
     fn taint_propagates_through_chains(picks in proptest::collection::vec(any::<u16>(), 1..8)) {
-        use freepart_frameworks::{ExploitAction, ExploitPayload};
         let reg = standard_registry();
         let filters: Vec<_> = reg
             .iter()
@@ -159,5 +250,17 @@ proptest! {
             );
             prop_assert_eq!(spec.declared_type == ApiType::Visualizing, is_gui);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// [`decoders_never_panic_on_garbage`] over 4096 cases; run in
+    /// release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn decoders_never_panic_on_garbage_deep(bytes in arb_file()) {
+        check_decoders(&bytes);
     }
 }

@@ -69,7 +69,7 @@ proptest! {
         proptest::collection::vec(any::<u8>(), 0..64), 1..32)) {
         let mut chan = RingChannel::new(Pid(1), Pid(2), 1 << 20);
         for m in &msgs {
-            chan.send(Pid(1), bytes::Bytes::copy_from_slice(m), 0).unwrap();
+            chan.send(Pid(1), m.as_slice().into(), 0).unwrap();
         }
         for m in &msgs {
             let got = chan.try_recv(Pid(2)).unwrap().unwrap();
