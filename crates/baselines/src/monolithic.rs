@@ -156,7 +156,7 @@ impl ApiSurface for MonolithicRuntime {
             if let Some(meta) = self.objects.meta(id) {
                 if let Some((addr, len)) = meta.buffer {
                     let home = meta.home;
-                    let _ = self.kernel.protect(home, addr, len, Perms::R);
+                    let _ = self.kernel.protect(home, &[(addr, len)], Perms::R);
                 }
             }
         }

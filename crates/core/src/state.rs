@@ -22,7 +22,7 @@
 use crate::runtime::ThreadId;
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::{ObjectId, ObjectMeta, ObjectStore};
-use freepart_simos::{Kernel, Perms};
+use freepart_simos::{Addr, Kernel, Perms, Pid};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -109,7 +109,8 @@ pub struct TemporalPlane {
     /// `false` (`Policy::temporal_protection` off): states are tracked
     /// but nothing is ever locked.
     enabled: bool,
-    threads: BTreeMap<ThreadId, ThreadTrack>,
+    /// Slot `i` tracks `ThreadId(i)`: `add_thread` hands ids out densely.
+    threads: Vec<ThreadTrack>,
     owners: BTreeMap<ObjectId, Owner>,
     /// The threads holding a lock on each annotated host-data object.
     shared: BTreeMap<ObjectId, BTreeSet<ThreadId>>,
@@ -125,7 +126,7 @@ impl TemporalPlane {
     pub fn new(enabled: bool) -> TemporalPlane {
         TemporalPlane {
             enabled,
-            threads: BTreeMap::from([(ThreadId::MAIN, ThreadTrack::default())]),
+            threads: vec![ThreadTrack::default()],
             owners: BTreeMap::new(),
             shared: BTreeMap::new(),
             segments: BTreeMap::new(),
@@ -143,19 +144,19 @@ impl TemporalPlane {
             let ids = self.shared.keys().map(|id| (*id, false)).collect();
             track.by_state.insert(FrameworkState::Initialization, ids);
         }
-        self.threads.insert(thread, track);
+        self.threads.push(track);
         thread
     }
 
     /// Whether `thread` is tracked.
     pub(crate) fn has_thread(&self, thread: ThreadId) -> bool {
-        self.threads.contains_key(&thread)
+        (thread.0 as usize) < self.threads.len()
     }
 
     /// The current state of `thread` (Initialization when untracked).
     pub fn state_of(&self, thread: ThreadId) -> FrameworkState {
         self.threads
-            .get(&thread)
+            .get(thread.0 as usize)
             .map(|t| t.current)
             .unwrap_or_default()
     }
@@ -163,7 +164,7 @@ impl TemporalPlane {
     /// Registers `id` as owned by `thread`, defined in its current state.
     /// The first definition wins.
     pub fn define(&mut self, thread: ThreadId, id: ObjectId) {
-        let Some(track) = self.threads.get_mut(&thread) else {
+        let Some(track) = self.threads.get_mut(thread.0 as usize) else {
             return;
         };
         if let Entry::Vacant(owner) = self.owners.entry(id) {
@@ -178,7 +179,7 @@ impl TemporalPlane {
         if let Entry::Vacant(owner) = self.owners.entry(id) {
             owner.insert(Owner::Shared);
             self.shared.insert(id, BTreeSet::new());
-            self.threads.values_mut().for_each(|track| track.define(id));
+            self.threads.iter_mut().for_each(|track| track.define(id));
         }
     }
 
@@ -198,7 +199,7 @@ impl TemporalPlane {
         t: ApiType,
         objects: &ObjectStore,
     ) -> Option<Transition> {
-        let track = self.threads.get_mut(&thread)?;
+        let track = self.threads.get_mut(thread.0 as usize)?;
         let to = FrameworkState::InType(t);
         if track.current == to {
             return None;
@@ -215,9 +216,8 @@ impl TemporalPlane {
         if !self.enabled {
             return Some(tr);
         }
-        let payload = |m: &ObjectMeta| m.buffer.is_some() || m.shm.is_some();
         for (&id, held) in track.by_state.get_mut(&from).into_iter().flatten() {
-            if *held || !objects.meta(id).is_some_and(payload) {
+            if *held || objects.meta(id).is_none_or(ObjectMeta::is_empty) {
                 continue;
             }
             *held = true;
@@ -247,7 +247,7 @@ impl TemporalPlane {
 
     /// Appends `tr` to `thread`'s Fig. 3 timeline, stamped `at_ns`.
     fn stamp(&mut self, thread: ThreadId, at_ns: u64, tr: &Transition) {
-        if let Some(track) = self.threads.get_mut(&thread) {
+        if let Some(track) = self.threads.get_mut(thread.0 as usize) {
             track.timeline.push((at_ns, tr.to, tr.locked.len()));
         }
     }
@@ -255,7 +255,7 @@ impl TemporalPlane {
     /// How many threads hold a lock on `id`: its lock count.
     pub fn locks(&self, id: ObjectId) -> usize {
         match self.owner(id) {
-            Some(Owner::Thread(t)) => usize::from(self.threads[&t].holds(id)),
+            Some(Owner::Thread(t)) => usize::from(self.threads[t.0 as usize].holds(id)),
             Some(Owner::Shared) => self.shared[&id].len(),
             None => 0,
         }
@@ -274,7 +274,9 @@ impl TemporalPlane {
     /// `thread`'s Fig. 3 timeline: `(virtual ns, state entered, objects
     /// newly locked)` per transition.
     pub(crate) fn timeline(&self, thread: ThreadId) -> &[(u64, FrameworkState, usize)] {
-        self.threads.get(&thread).map_or(&[], |t| &t.timeline)
+        self.threads
+            .get(thread.0 as usize)
+            .map_or(&[], |t| &t.timeline)
     }
 
     /// Indexes `id` as segment-backed (its payload was promoted).
@@ -313,8 +315,8 @@ impl TemporalPlane {
         self.drop_segment(id);
         let owner = self.owners.remove(&id);
         let tracks: Vec<&mut ThreadTrack> = match owner {
-            Some(Owner::Thread(t)) => self.threads.get_mut(&t).into_iter().collect(),
-            Some(Owner::Shared) => self.threads.values_mut().collect(),
+            Some(Owner::Thread(t)) => self.threads.get_mut(t.0 as usize).into_iter().collect(),
+            Some(Owner::Shared) => self.threads.iter_mut().collect(),
             None => Vec::new(),
         };
         for ids in tracks.into_iter().flat_map(|t| t.by_state.values_mut()) {
@@ -334,12 +336,8 @@ pub fn observe(
     objects: &ObjectStore,
 ) -> Option<Transition> {
     let tr = plane.transition(thread, t, objects)?;
-    for &id in &tr.locked {
-        set_perms(kernel, objects, id, Perms::R);
-    }
-    for &id in &tr.unlocked {
-        set_perms(kernel, objects, id, Perms::RW);
-    }
+    set_perms(kernel, objects, &tr.locked, Perms::R);
+    set_perms(kernel, objects, &tr.unlocked, Perms::RW);
     plane.stamp(thread, kernel.now_ns(), &tr);
     Some(tr)
 }
@@ -355,29 +353,34 @@ pub fn reapply(
     id: ObjectId,
 ) -> Option<ThreadId> {
     let holder = match plane.owner(id)? {
-        Owner::Thread(t) => plane.threads[&t].holds(id).then_some(t),
+        Owner::Thread(t) => plane.threads[t.0 as usize].holds(id).then_some(t),
         Owner::Shared => plane.shared[&id].first().copied(),
     }?;
-    set_perms(kernel, objects, id, Perms::R);
+    set_perms(kernel, objects, &[id], Perms::R);
     Some(holder)
 }
 
-fn set_perms(kernel: &mut Kernel, objects: &ObjectStore, id: ObjectId, perms: Perms) {
-    let Some(meta) = objects.meta(id) else {
-        return;
-    };
-    if let Some((seg, _)) = meta.shm {
-        // Shm-resident payloads change every live grant at once — the
-        // segment is kernel-owned, so this works even while several
-        // processes hold mapped views.
-        kernel.shm_protect_all(seg, perms).ok();
-    } else if let Some((addr, len)) = meta.buffer {
-        // A dead home has no pages to change; the decision stands for
-        // the restored copy. Differential re-protection skips the call
-        // (and its cost) when every page is already at `perms` — e.g. a
-        // second thread locking host data another thread already locked.
-        if kernel.is_running(meta.home) && !kernel.perms_match(meta.home, addr, len, perms) {
-            kernel.protect(meta.home, addr, len, perms).ok();
+/// Moves the payloads of `ids` to `perms`: a `shm_protect_all` per
+/// segment (every mapped view at once) and one `protect` per running
+/// home over its buffers, in object order. A range not wholly mapped
+/// (an agent `munmap`ed it) is dropped, lest the atomic op fail for its
+/// whole home, and so is one already at `perms`: a no-op storm is free.
+fn set_perms(kernel: &mut Kernel, objects: &ObjectStore, ids: &[ObjectId], perms: Perms) {
+    let mut homes: BTreeMap<Pid, Vec<(Addr, u64)>> = BTreeMap::new();
+    for meta in ids.iter().filter_map(|&id| objects.meta(id)) {
+        if let Some((seg, _)) = meta.shm {
+            kernel.shm_protect_all(seg, perms).ok();
+        } else if let Some(range) = meta.buffer {
+            homes.entry(meta.home).or_default().push(range);
+        }
+    }
+    for (home, mut ranges) in homes {
+        if let Some(p) = kernel.process(home).ok().filter(|p| p.is_running()) {
+            let asp = &p.aspace;
+            ranges.retain(|&(a, n)| asp.is_mapped(a, n) && !asp.perms_match(a, n, perms));
+            if !ranges.is_empty() {
+                kernel.protect(home, &ranges, perms).ok();
+            }
         }
     }
 }

@@ -266,19 +266,19 @@ fn protect_charges_only_changed_pages() {
     let (addr, len) = store.meta(obj).unwrap().buffer.unwrap();
 
     let pages0 = k.metrics().protected_pages;
-    assert_eq!(k.protect(pid, addr, len, Perms::R).unwrap(), 2);
+    assert_eq!(k.protect(pid, &[(addr, len)], Perms::R).unwrap(), 2);
     assert_eq!(k.metrics().protected_pages, pages0 + 2);
 
     // Re-protecting to the same permissions is free: no pages, no time.
     let ns = k.clock().now_ns();
-    assert_eq!(k.protect(pid, addr, len, Perms::R).unwrap(), 0);
+    assert_eq!(k.protect(pid, &[(addr, len)], Perms::R).unwrap(), 0);
     assert_eq!(k.metrics().protected_pages, pages0 + 2);
     assert_eq!(k.clock().now_ns(), ns, "a no-op mprotect charges nothing");
 
     // A partial diff charges exactly the changed pages.
-    assert_eq!(k.protect(pid, addr, PAGE_SIZE, Perms::RW).unwrap(), 1);
+    assert_eq!(k.protect(pid, &[(addr, PAGE_SIZE)], Perms::RW).unwrap(), 1);
     assert_eq!(
-        k.protect(pid, addr, len, Perms::R).unwrap(),
+        k.protect(pid, &[(addr, len)], Perms::R).unwrap(),
         1,
         "only the page whose permissions differ is touched"
     );

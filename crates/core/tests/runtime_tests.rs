@@ -2,14 +2,16 @@
 //! data copy, temporal permissions, syscall sealing, crash containment,
 //! and restart semantics.
 
-use freepart::{CallError, FrameworkState, PartitionPlan, Policy, Runtime};
+use freepart::{AuditRecord, CallError, FrameworkState, PartitionPlan, Policy, Runtime};
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::exec::CAMERA_FRAME_LEN;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{
-    fileio, image::Image, ExploitAction, ExploitPayload, FrameworkError, ObjectKind, Value,
+    fileio, image::Image, ExploitAction, ExploitPayload, FrameworkError, ObjectId, ObjectKind,
+    Value,
 };
 use freepart_simos::device::Camera;
+use freepart_simos::{FaultKind, SimError, Syscall, PAGE_SIZE};
 
 fn rt_with(policy: Policy) -> Runtime {
     Runtime::install(standard_registry(), policy)
@@ -236,6 +238,52 @@ fn protected_template_survives_memory_corruption_exploit() {
     );
     // And the attack was observed to fault, not succeed.
     assert!(rt.exploit_log.iter().all(|r| !r.outcome.achieved()));
+}
+
+#[test]
+fn an_unmapped_object_cannot_shield_the_rest_of_a_storm() {
+    // A transition protects each home's buffers in one atomic kernel op.
+    // A buffer whose pages were `munmap`ed must drop out of that op, not
+    // fail it and leave the rest of its home writable.
+    let mut rt = rt_with(Policy::freepart());
+    rt.enable_tracing();
+    let host = rt.host_pid();
+    let ids: Vec<ObjectId> = (0..3u8).map(|i| rt.host_data("cfg", &[i; 5000])).collect();
+    let buffer = |rt: &Runtime, id| rt.objects.meta(id).unwrap().buffer.unwrap();
+    let (addr, len) = buffer(&rt, ids[1]);
+    rt.kernel
+        .syscall(host, Syscall::Munmap { addr, len })
+        .unwrap();
+    let pages_before = rt.kernel.metrics().protected_pages;
+    seed_image(&mut rt, "/in.simg", 16);
+    rt.call("cv2.imread", &[Value::from("/in.simg")]).unwrap();
+
+    let outer = [ids[0], ids[2]];
+    let mut outer_pages = 0;
+    for id in outer {
+        assert!(rt.is_protected(id));
+        let (addr, len) = buffer(&rt, id);
+        outer_pages += len.div_ceil(PAGE_SIZE);
+        // Probe a copy of the host's pages, so the first fault does not
+        // kill the host before the second probe.
+        let mut pages = rt.kernel.process(host).unwrap().aspace.clone();
+        assert_eq!(pages.write(addr, &[0]), Err(FaultKind::Protection));
+    }
+    let delta = rt.kernel.metrics().protected_pages - pages_before;
+    assert_eq!(delta, outer_pages);
+    let audited: Vec<u64> = rt
+        .tracer()
+        .audit_log()
+        .iter()
+        .filter_map(|r| match r {
+            AuditRecord::StateTransition { pages, .. } => Some(*pages),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(audited, vec![delta]);
+    // The host's own store into a locked buffer faults.
+    let err = rt.kernel.mem_write(host, buffer(&rt, ids[2]).0, &[0]);
+    assert!(matches!(err, Err(SimError::Fault(f)) if f.kind == FaultKind::Protection));
 }
 
 /// Runs the action `payload` builds (from an address mapped in the

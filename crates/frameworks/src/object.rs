@@ -14,7 +14,7 @@
 //! hop, the Lazy Data Copy fast path).
 
 use freepart_simos::{Addr, Kernel, Perms, Pid, ShmId, SimError, WindowId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a framework object.
@@ -157,8 +157,11 @@ impl ObjectMeta {
 /// ```
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    next: u64,
-    objects: BTreeMap<ObjectId, ObjectMeta>,
+    /// Slot `i` holds object `i`: `insert` hands ids out densely and
+    /// never reuses one, so a destroyed object leaves an empty slot.
+    objects: Vec<Option<ObjectMeta>>,
+    /// Number of live (`Some`) slots.
+    live: usize,
     /// Live objects of a stateful kind, updated only where objects enter
     /// (`insert`) and leave (`destroy`) the store: a kind never changes
     /// variant. Deliberately not keyed by `home`, which every move and
@@ -201,8 +204,7 @@ impl ObjectStore {
         buffer: Option<(Addr, u64)>,
         label: &str,
     ) -> ObjectId {
-        let id = ObjectId(self.next);
-        self.next += 1;
+        let id = ObjectId(self.next_id_watermark());
         if kind.is_stateful() {
             self.stateful.insert(id);
         }
@@ -215,29 +217,26 @@ impl ObjectStore {
             label: label.to_owned(),
             taint: None,
         };
-        self.objects.insert(id, meta);
+        self.objects.push(Some(meta));
+        self.live += 1;
         id
     }
 
     /// Looks up an object's metadata.
     pub fn meta(&self, id: ObjectId) -> Option<&ObjectMeta> {
-        self.objects.get(&id)
+        self.objects.get(id.0 as usize)?.as_ref()
     }
 
     /// Mutable metadata access (kind updates for stateful objects).
     pub fn meta_mut(&mut self, id: ObjectId) -> Option<&mut ObjectMeta> {
-        self.objects.get_mut(&id)
+        self.objects.get_mut(id.0 as usize)?.as_mut()
     }
 
     /// Reads the full payload of an object *through the kernel* (so page
     /// permissions apply to the reading process's view — here the home
     /// process reads its own buffer).
     pub fn read_bytes(&self, kernel: &mut Kernel, id: ObjectId) -> Result<Vec<u8>, SimError> {
-        let meta = self
-            .objects
-            .get(&id)
-            .ok_or(SimError::BadChannel)
-            .expect("object id must be live");
+        let meta = self.meta(id).expect("object id must be live");
         if let Some((seg, _)) = meta.shm {
             return kernel.shm_read(meta.home, seg);
         }
@@ -255,7 +254,7 @@ impl ObjectStore {
         id: ObjectId,
         data: &[u8],
     ) -> Result<(), SimError> {
-        let meta = self.objects.get_mut(&id).expect("object id must be live");
+        let meta = self.meta_mut(id).expect("object id must be live");
         if let Some((seg, _)) = meta.shm {
             kernel.shm_write(meta.home, seg, data)?;
             meta.shm = Some((seg, data.len() as u64));
@@ -282,7 +281,7 @@ impl ObjectStore {
         id: ObjectId,
         dst: Pid,
     ) -> Result<(), SimError> {
-        let meta = self.objects.get(&id).expect("object id must be live");
+        let meta = self.meta(id).expect("object id must be live");
         if meta.home == dst {
             return Ok(());
         }
@@ -290,12 +289,12 @@ impl ObjectStore {
             // Shm-resident payloads never move: hand `dst` a view.
             kernel.shm_grant(seg, dst, Perms::RW)?;
             kernel.shm_map(dst, seg)?;
-            self.objects.get_mut(&id).expect("live").home = dst;
+            self.meta_mut(id).expect("live").home = dst;
             return Ok(());
         }
         match meta.buffer {
             None => {
-                self.objects.get_mut(&id).expect("live").home = dst;
+                self.meta_mut(id).expect("live").home = dst;
                 Ok(())
             }
             Some((addr, len)) => {
@@ -303,7 +302,7 @@ impl ObjectStore {
                 let new_addr = kernel.alloc(dst, len.max(1), Perms::RW)?;
                 kernel.mem_write(dst, new_addr, &data)?;
                 kernel.charge_copy(len);
-                let meta = self.objects.get_mut(&id).expect("live");
+                let meta = self.meta_mut(id).expect("live");
                 meta.home = dst;
                 meta.buffer = Some((new_addr, len));
                 Ok(())
@@ -323,7 +322,7 @@ impl ObjectStore {
         kernel: &mut Kernel,
         id: ObjectId,
     ) -> Result<Option<ShmId>, SimError> {
-        let meta = self.objects.get(&id).expect("object id must be live");
+        let meta = self.meta(id).expect("object id must be live");
         if let Some((seg, _)) = meta.shm {
             return Ok(Some(seg));
         }
@@ -333,7 +332,7 @@ impl ObjectStore {
         let home = meta.home;
         let data = kernel.mem_read(home, addr, len)?;
         let seg = kernel.shm_create(home, data)?;
-        let meta = self.objects.get_mut(&id).expect("live");
+        let meta = self.meta_mut(id).expect("live");
         meta.buffer = None;
         meta.shm = Some((seg, len));
         Ok(Some(seg))
@@ -348,11 +347,7 @@ impl ObjectStore {
         id: ObjectId,
         dst: Pid,
     ) -> Result<ObjectId, SimError> {
-        let meta = self
-            .objects
-            .get(&id)
-            .expect("object id must be live")
-            .clone();
+        let meta = self.meta(id).expect("object id must be live").clone();
         let new_id = if let Some((seg, len)) = meta.shm {
             // Duplication is a genuine copy even out of a segment.
             let data = kernel.shm_read(meta.home, seg)?;
@@ -369,7 +364,7 @@ impl ObjectStore {
             }
         };
         // Malformed content stays malformed when copied.
-        self.objects.get_mut(&new_id).expect("just created").taint = meta.taint;
+        self.meta_mut(new_id).expect("just created").taint = meta.taint;
         Ok(new_id)
     }
 
@@ -377,7 +372,9 @@ impl ObjectStore {
     /// reuses addresses, so dangling references fault realistically).
     pub fn destroy(&mut self, id: ObjectId) -> Option<ObjectMeta> {
         self.stateful.remove(&id);
-        self.objects.remove(&id)
+        let meta = self.objects.get_mut(id.0 as usize)?.take()?;
+        self.live -= 1;
+        Some(meta)
     }
 
     /// Live objects of a stateful kind ([`ObjectKind::is_stateful`]), in
@@ -395,31 +392,32 @@ impl ObjectStore {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.live
     }
 
     /// The id the *next* created object will receive — a monotone
     /// watermark callers use to identify objects created during a window.
     pub fn next_id_watermark(&self) -> u64 {
-        self.next
+        self.objects.len() as u64
     }
 
     /// Ids of live objects created at or after `watermark` (a value
-    /// previously returned by [`ObjectStore::next_id_watermark`]). Ids
-    /// are monotone, so this is a range scan over just the tail of the
-    /// store — O(new objects), not O(live objects).
+    /// previously returned by [`ObjectStore::next_id_watermark`]), in
+    /// ascending order. Ids are dense and monotone, so this walks just
+    /// the tail of the table — O(new objects), not O(live objects).
     pub fn ids_since(&self, watermark: u64) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.range(ObjectId(watermark)..).map(|(id, _)| *id)
+        let tail = self.objects.get(watermark as usize..).unwrap_or_default();
+        tail.iter().flatten().map(|m| m.id)
     }
 
     /// True when no objects are live.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.live == 0
     }
 
-    /// Iterator over all live objects.
+    /// Iterator over all live objects, in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &ObjectMeta> {
-        self.objects.values()
+        self.objects.iter().flatten()
     }
 }
 

@@ -1,16 +1,18 @@
 //! Property tests of the framework layer: decode fuzzing, random
 //! pipeline chains through the executor, taint-propagation
-//! monotonicity, and the object store's stateful index.
+//! monotonicity, and the object store's id-indexed table and stateful
+//! index.
 
 use freepart_frameworks::api::{ApiKind, ApiType};
 use freepart_frameworks::exec::execute;
 use freepart_frameworks::registry::standard_registry;
 use freepart_frameworks::{
-    fileio, image::Image, ApiCtx, ExploitAction, ExploitPayload, ObjectId, ObjectKind, ObjectStore,
-    Value,
+    fileio, image::Image, ApiCtx, ExploitAction, ExploitPayload, ObjectId, ObjectKind, ObjectMeta,
+    ObjectStore, Value,
 };
 use freepart_simos::Kernel;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Header fields a crafted file would pick: zero, one, the sizes whose
 /// products wrap `u32` or `usize`, and random values.
@@ -101,6 +103,73 @@ fn check_decoders(bytes: &[u8]) {
     }
     let _ = fileio::scan_payload(bytes);
     let _ = fileio::decode_csv(bytes);
+}
+
+/// Store operations: `(op, kind, pick)`.
+type StoreOps = Vec<(u8, u8, u16)>;
+
+fn arb_store_ops() -> impl Strategy<Value = StoreOps> {
+    proptest::collection::vec((0u8..5, 0u8..5, any::<u16>()), 1..40)
+}
+
+/// Drives `ops` through an [`ObjectStore`] and a `BTreeMap` keyed by id,
+/// comparing the two after every operation.
+fn check_store_against_map(ops: StoreOps) {
+    let mut kernel = Kernel::new();
+    let pids = [kernel.spawn("a"), kernel.spawn("b")];
+    let mut store = ObjectStore::new();
+    let mut model: BTreeMap<ObjectId, ObjectMeta> = BTreeMap::new();
+    for (op, kind, pick) in ops {
+        let kind = match kind {
+            0 => ObjectKind::Model { layers: 2 },
+            1 => ObjectKind::Capture { frames_read: 0 },
+            2 => ObjectKind::Classifier { stages: 3 },
+            3 => ObjectKind::Blob,
+            _ => ObjectKind::Tensor { shape: vec![2] },
+        };
+        let pid = pids[usize::from(pick) % 2];
+        let target = model
+            .keys()
+            .nth(usize::from(pick) % model.len().max(1))
+            .copied();
+        // Any id up to one past the next: live, destroyed or unborn.
+        let any_id = ObjectId(u64::from(pick) % (store.next_id_watermark() + 2));
+        let created = match (op, target) {
+            (0, _) => Some(store.create_handle(pid, kind, "h")),
+            (1, _) => Some(
+                store
+                    .create_with_data(&mut kernel, pid, kind, "d", &[1; 8])
+                    .unwrap(),
+            ),
+            (2, Some(id)) => Some(store.deep_copy_to(&mut kernel, id, pid).unwrap()),
+            (3, Some(id)) => {
+                prop_assert_eq!(store.destroy(id), model.remove(&id));
+                None
+            }
+            (4, _) => {
+                prop_assert_eq!(store.destroy(any_id), model.remove(&any_id));
+                None
+            }
+            _ => None,
+        };
+        if let Some(id) = created {
+            model.insert(id, store.meta(id).unwrap().clone());
+        }
+        let scan: Vec<ObjectId> = store
+            .iter()
+            .filter(|m| m.kind.is_stateful())
+            .map(|m| m.id)
+            .collect();
+        prop_assert_eq!(store.stateful().iter().copied().collect::<Vec<_>>(), scan);
+        prop_assert_eq!(store.len(), model.len());
+        prop_assert!(store.iter().eq(model.values()), "iter order");
+        for raw in 0..store.next_id_watermark() + 2 {
+            prop_assert_eq!(store.meta(ObjectId(raw)), model.get(&ObjectId(raw)));
+        }
+        let mark = u64::from(pick) % (store.next_id_watermark() + 2);
+        let tail: Vec<ObjectId> = model.range(ObjectId(mark)..).map(|(id, _)| *id).collect();
+        prop_assert_eq!(store.ids_since(mark).collect::<Vec<_>>(), tail);
+    }
 }
 
 proptest! {
@@ -197,39 +266,12 @@ proptest! {
 
     /// The stateful index names exactly the live objects of a stateful
     /// kind, in id order, whatever mix of creations, copies and
-    /// destructions built the store.
+    /// destructions built the store; and the id-indexed table answers
+    /// `meta`, `len`, `iter` and `ids_since` as a `BTreeMap` keyed by id
+    /// does, with `None` for every destroyed or never-created id.
     #[test]
-    fn stateful_index_matches_a_full_scan(
-        ops in proptest::collection::vec((0u8..4, 0u8..5, any::<u16>()), 1..40),
-    ) {
-        let mut kernel = Kernel::new();
-        let pids = [kernel.spawn("a"), kernel.spawn("b")];
-        let mut store = ObjectStore::new();
-        let mut live: Vec<ObjectId> = Vec::new();
-        for (op, kind, pick) in ops {
-            let kind = match kind {
-                0 => ObjectKind::Model { layers: 2 },
-                1 => ObjectKind::Capture { frames_read: 0 },
-                2 => ObjectKind::Classifier { stages: 3 },
-                3 => ObjectKind::Blob,
-                _ => ObjectKind::Tensor { shape: vec![2] },
-            };
-            let pid = pids[usize::from(pick) % 2];
-            let target = (!live.is_empty()).then(|| live[usize::from(pick) % live.len()]);
-            match (op, target) {
-                (0, _) => live.push(store.create_handle(pid, kind, "h")),
-                (1, _) => live.push(store.create_with_data(&mut kernel, pid, kind, "d", &[1; 8]).unwrap()),
-                (2, Some(id)) => live.push(store.deep_copy_to(&mut kernel, id, pid).unwrap()),
-                (3, Some(id)) => {
-                    store.destroy(id);
-                    live.retain(|x| *x != id);
-                }
-                _ => {}
-            }
-            let scan: Vec<ObjectId> =
-                store.iter().filter(|m| m.kind.is_stateful()).map(|m| m.id).collect();
-            prop_assert_eq!(store.stateful().iter().copied().collect::<Vec<_>>(), scan);
-        }
+    fn stateful_index_matches_a_full_scan(ops in arb_store_ops()) {
+        check_store_against_map(ops);
     }
 
     /// The registry's declared types always agree with the types the
@@ -262,5 +304,13 @@ proptest! {
     #[ignore]
     fn decoders_never_panic_on_garbage_deep(bytes in arb_file()) {
         check_decoders(&bytes);
+    }
+
+    /// [`stateful_index_matches_a_full_scan`] over 4096 cases; run in
+    /// release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn stateful_index_matches_a_full_scan_deep(ops in arb_store_ops()) {
+        check_store_against_map(ops);
     }
 }

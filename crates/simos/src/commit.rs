@@ -54,7 +54,7 @@ pub fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
 /// Order-sensitive word-at-a-time fold: one multiply per word, where the
 /// byte-wise [`mix`] needs eight. Bijective in both arguments, so
 /// changing any one folded word changes the result.
-pub(crate) fn fold(h: u64, v: u64) -> u64 {
+pub fn fold(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31)
 }
 
@@ -99,11 +99,11 @@ pub enum CommitOp {
         addr: Addr,
         bytes: Vec<u8>,
     },
-    /// Harness-level protection change.
+    /// Harness-level protection change of a list of `(addr, len)`
+    /// ranges in one process: all of them or none.
     Protect {
         pid: Pid,
-        addr: Addr,
-        len: u64,
+        ranges: Vec<(Addr, u64)>,
         perms: Perms,
     },
     /// Shared-memory segment creation (payload adopted, owner granted RW).

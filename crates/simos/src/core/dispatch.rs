@@ -173,7 +173,7 @@ pub(super) fn dispatch(state: &mut KernelState, pid: Pid, call: Syscall) -> SimR
         }
         S::Mprotect { addr, len, perms } => {
             let p = state.procs.get_mut(&pid).expect("checked");
-            match p.aspace.protect(addr, len, perms) {
+            match p.aspace.protect(&[(addr, len)], perms) {
                 Ok(changed) => {
                     if changed > 0 {
                         let ns = state.cost.mprotect_cost(changed);

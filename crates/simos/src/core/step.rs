@@ -219,16 +219,11 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
                 Err(kind) => Err(crash(state, pid, kind, Some(addr)).into()),
             }
         }
-        O::Protect {
-            pid,
-            addr,
-            len,
-            perms,
-        } => {
+        O::Protect { pid, ranges, perms } => {
             let pid = *pid;
             state.require_running(pid)?;
             let p = state.procs.get_mut(&pid).expect("checked");
-            match p.aspace.protect(*addr, *len, *perms) {
+            match p.aspace.protect(ranges, *perms) {
                 Ok(changed) => {
                     if changed > 0 {
                         let ns = state.cost.mprotect_cost(changed);

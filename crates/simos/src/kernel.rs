@@ -351,9 +351,11 @@ impl Kernel {
         }
     }
 
-    /// Harness-level protection change *with* cost/metric accounting but
-    /// without a syscall (used by the FreePart runtime, which is trusted
-    /// and runs outside the filtered processes, per the threat model).
+    /// Harness-level protection change of every `(addr, len)` range in
+    /// `ranges`, *with* cost/metric accounting but without a syscall
+    /// (used by the FreePart runtime, which is trusted and runs outside
+    /// the filtered processes, per the threat model). One call is one
+    /// step and one commit record however many ranges it covers.
     ///
     /// Accounting is **differential**: only pages whose permissions
     /// actually change are charged and counted, so re-protecting an
@@ -361,13 +363,12 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// `EINVAL` on an unmapped range; fails when the process is unknown
-    /// or dead.
-    pub fn protect(&mut self, pid: Pid, addr: Addr, len: u64, perms: Perms) -> SimResult<u64> {
+    /// `EINVAL`, changing no page, when any range is not wholly mapped;
+    /// fails when the process is unknown or dead.
+    pub fn protect(&mut self, pid: Pid, ranges: &[(Addr, u64)], perms: Perms) -> SimResult<u64> {
         match self.do_step(CommitOp::Protect {
             pid,
-            addr,
-            len,
+            ranges: ranges.to_vec(),
             perms,
         })? {
             StepValue::Num(changed) => Ok(changed),
@@ -764,7 +765,7 @@ mod tests {
         let mut k = Kernel::new();
         let p = k.spawn("p");
         let addr = k.alloc(p, 8, Perms::RW).unwrap();
-        k.protect(p, addr, 8, Perms::R).unwrap();
+        k.protect(p, &[(addr, 8)], Perms::R).unwrap();
         let err = k.mem_write(p, addr, b"x").unwrap_err();
         assert_eq!(err.as_fault().unwrap().kind, FaultKind::Protection);
         assert!(!k.is_running(p));
@@ -1164,8 +1165,8 @@ mod tests {
         let e0 = k.write_epoch(a, addr, 2 * PAGE_SIZE).unwrap();
         // Reads and protection flips leave the epoch alone.
         k.mem_read(a, addr, 16).unwrap();
-        k.protect(a, addr, 2 * PAGE_SIZE, Perms::R).unwrap();
-        k.protect(a, addr, 2 * PAGE_SIZE, Perms::RW).unwrap();
+        k.protect(a, &[(addr, 2 * PAGE_SIZE)], Perms::R).unwrap();
+        k.protect(a, &[(addr, 2 * PAGE_SIZE)], Perms::RW).unwrap();
         assert_eq!(k.write_epoch(a, addr, 2 * PAGE_SIZE).unwrap(), e0);
         // A write to the second page bumps the range epoch but not the
         // first page's own epoch.

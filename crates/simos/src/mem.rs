@@ -12,7 +12,7 @@
 //! spaces names unrelated storage, which is precisely the isolation
 //! property cross-process exploits run into.
 
-use crate::commit::{fold_bytes, mix, FINGERPRINT_SEED};
+use crate::commit::{fold, fold_bytes, mix, FINGERPRINT_SEED};
 use crate::error::FaultKind;
 use std::fmt;
 use std::ops::Range;
@@ -262,39 +262,41 @@ impl AddressSpace {
         }
     }
 
-    /// Changes the protection of every page covering `[addr, addr+len)`.
+    /// Changes the protection of every page covering each
+    /// `[addr, addr+len)` of `ranges`, in order.
     ///
     /// Returns the number of pages whose permissions actually *changed*
     /// (the differential page delta — already-correct pages are free, so
-    /// a no-op transition reports zero), or a fault if any page in the
+    /// a no-op transition reports zero), or a fault if any page of any
     /// range is unmapped (Linux returns `ENOMEM`; we treat it as a
     /// harness fault because our callers always pass mapped ranges).
-    pub fn protect(&mut self, addr: Addr, len: u64, perms: Perms) -> AccessResult<u64> {
-        let slots = self.whole(addr, len).ok_or(FaultKind::Unmapped)?;
-        let pages = &mut self.pages[slots];
-        // Validate first so the operation is atomic.
-        if pages.iter().any(Option::is_none) {
+    /// Every range is validated before any page changes, so a fault
+    /// leaves the whole space as it was.
+    pub fn protect(&mut self, ranges: &[(Addr, u64)], perms: Perms) -> AccessResult<u64> {
+        if !ranges.iter().all(|&(addr, len)| self.is_mapped(addr, len)) {
             return Err(FaultKind::Unmapped);
         }
         let mut changed = 0;
-        for page in pages.iter_mut().flatten() {
-            if page.perms != perms {
-                page.perms = perms;
-                changed += 1;
+        let mut fp = fold(self.fp, 3);
+        for &(addr, len) in ranges {
+            let slots = self.whole(addr, len).expect("validated");
+            for page in self.pages[slots].iter_mut().flatten() {
+                if page.perms != perms {
+                    page.perms = perms;
+                    changed += 1;
+                }
             }
+            fp = fold(fold(fp, addr.page_base()), len);
         }
         if changed > 0 {
-            self.fp = mix(
-                mix(mix(mix(self.fp, 3), addr.page_base()), changed),
-                u64::from(perms.bits()),
-            );
+            self.fp = fold(fold(fp, changed), u64::from(perms.bits()));
         }
         Ok(changed)
     }
 
     /// True when every page covering `[addr, addr+len)` is mapped and
-    /// already at exactly `perms` — i.e. a [`AddressSpace::protect`] call
-    /// with these arguments would change nothing.
+    /// already at exactly `perms` — i.e. an [`AddressSpace::protect`] of
+    /// this range would change nothing.
     pub fn perms_match(&self, addr: Addr, len: u64, perms: Perms) -> bool {
         self.whole(addr, len).is_some_and(|slots| {
             self.pages[slots]
@@ -463,7 +465,7 @@ mod tests {
         let mut asp = AddressSpace::new();
         let a = asp.alloc(64, Perms::RW);
         asp.write(a, b"ok").unwrap();
-        asp.protect(a, 64, Perms::R).unwrap();
+        asp.protect(&[(a, 64)], Perms::R).unwrap();
         assert_eq!(asp.write(a, b"no"), Err(FaultKind::Protection));
         // Reads still fine; data intact.
         assert_eq!(&asp.read(a, 2).unwrap(), b"ok");
@@ -473,12 +475,12 @@ mod tests {
     fn protect_is_atomic_over_partially_unmapped_range() {
         let mut asp = AddressSpace::new();
         let a = asp.alloc(PAGE_SIZE, Perms::RW);
-        // Range extends past the single mapped page.
+        // The second range extends past the last mapped page.
         assert_eq!(
-            asp.protect(a, 2 * PAGE_SIZE, Perms::R),
+            asp.protect(&[(a, PAGE_SIZE), (a, 2 * PAGE_SIZE)], Perms::R),
             Err(FaultKind::Unmapped)
         );
-        // Mapped page unchanged.
+        // The first range's page is unchanged too.
         assert_eq!(asp.perms_at(a), Some(Perms::RW));
     }
 

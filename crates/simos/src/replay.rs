@@ -353,7 +353,7 @@ mod tests {
         let agent = k.spawn("agent");
         let addr = k.alloc(host, 8192, Perms::RW).unwrap();
         k.mem_write(host, addr, b"payload").unwrap();
-        k.protect(host, addr, 8192, Perms::R).unwrap();
+        k.protect(host, &[(addr, 8192)], Perms::R).unwrap();
         let ch = k.create_channel(host, agent, 1 << 16).unwrap();
         k.ipc_send(host, ch, b"req").unwrap();
         k.ipc_recv(agent, ch).unwrap();

@@ -1,7 +1,7 @@
 //! Property tests of kernel-level invariants under randomized operation
 //! sequences.
 
-use freepart_simos::commit::{fold_bytes, mix, FINGERPRINT_SEED};
+use freepart_simos::commit::{fold, fold_bytes, mix, FINGERPRINT_SEED};
 use freepart_simos::{
     Addr, AddressSpace, Errno, FaultKind, FdRule, Kernel, Perms, SimError, Syscall, SyscallFilter,
     SyscallNo, PAGE_SIZE,
@@ -74,7 +74,7 @@ proptest! {
                     let idx = i as usize % regions.len();
                     let (a, len, _) = regions[idx];
                     let perms = perms_of(p);
-                    kernel.protect(victim, a, len, perms).unwrap();
+                    kernel.protect(victim, &[(a, len)], perms).unwrap();
                     regions[idx].2 = perms;
                 }
                 MemOp::Read(i, n) => {
@@ -176,7 +176,7 @@ proptest! {
         let base = kernel.alloc(pid, pages * PAGE_SIZE, Perms::RW).unwrap();
         let target = target % pages;
         kernel
-            .protect(pid, base.offset(target * PAGE_SIZE), PAGE_SIZE, Perms::R)
+            .protect(pid, &[(base.offset(target * PAGE_SIZE), PAGE_SIZE)], Perms::R)
             .unwrap();
         for page in 0..pages {
             let addr = base.offset(page * PAGE_SIZE);
@@ -274,11 +274,9 @@ impl Model {
         }
     }
 
-    fn protect(&mut self, addr: u64, len: u64, perms: Perms) -> Result<u64, FaultKind> {
-        let (first, last) = span(addr, len).ok_or(FaultKind::Unmapped)?;
-        if !walk(first, last).all(|p| self.pages.contains_key(&p)) {
-            return Err(FaultKind::Unmapped);
-        }
+    /// One wholly mapped range's page walk: the pages it changed.
+    fn protect_one(&mut self, addr: u64, len: u64, perms: Perms) -> u64 {
+        let (first, last) = span(addr, len).unwrap();
         let mut changed = 0;
         for p in walk(first, last) {
             let page = self.pages.get_mut(&p).unwrap();
@@ -287,11 +285,23 @@ impl Model {
                 changed += 1;
             }
         }
+        changed
+    }
+
+    /// A list of ranges is the single-range protect folded over them,
+    /// once every range is known to be wholly mapped.
+    fn protect(&mut self, ranges: &[(u64, u64)], perms: Perms) -> Result<u64, FaultKind> {
+        if !ranges.iter().all(|&(a, n)| self.is_mapped(a, n)) {
+            return Err(FaultKind::Unmapped);
+        }
+        let mut changed = 0;
+        let mut fp = fold(self.fp, 3);
+        for &(addr, len) in ranges {
+            changed += self.protect_one(addr, len, perms);
+            fp = fold(fold(fp, addr & !(PAGE_SIZE - 1)), len);
+        }
         if changed > 0 {
-            self.fp = mix(
-                mix(mix(mix(self.fp, 3), first), changed),
-                perms.bits().into(),
-            );
+            self.fp = fold(fold(fp, changed), perms.bits().into());
         }
         Ok(changed)
     }
@@ -385,7 +395,8 @@ enum Len {
 enum AsOp {
     Alloc(u16, u8),
     Unmap(Place, Len),
-    Protect(Place, Len, u8),
+    /// One to four ranges, all changed or none.
+    Protect(Vec<(Place, Len)>, u8),
     Write(Place, Len, u8),
     Read(Place, Len),
     Fetch(Place),
@@ -417,12 +428,16 @@ fn arb_len() -> impl Strategy<Value = Len> {
     ]
 }
 
+fn arb_ranges() -> impl Strategy<Value = Vec<(Place, Len)>> {
+    proptest::collection::vec((arb_place(), arb_len()), 1..5)
+}
+
 fn arb_as_op() -> impl Strategy<Value = AsOp> {
     prop_oneof![
         (1u16..3 * PAGE_SIZE as u16, 0u8..7).prop_map(|(n, p)| AsOp::Alloc(n, p)),
         (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::Unmap(a, n)),
-        (arb_place(), arb_len(), 0u8..7).prop_map(|(a, n, p)| AsOp::Protect(a, n, p)),
-        (arb_place(), arb_len(), 0u8..7).prop_map(|(a, n, p)| AsOp::Protect(a, n, p)),
+        (arb_ranges(), 0u8..7).prop_map(|(r, p)| AsOp::Protect(r, p)),
+        (arb_ranges(), 0u8..7).prop_map(|(r, p)| AsOp::Protect(r, p)),
         (arb_place(), arb_len(), any::<u8>()).prop_map(|(a, n, s)| AsOp::Write(a, n, s)),
         (arb_place(), arb_len(), any::<u8>()).prop_map(|(a, n, s)| AsOp::Write(a, n, s)),
         (arb_place(), arb_len()).prop_map(|(a, n)| AsOp::Read(a, n)),
@@ -503,13 +518,26 @@ fn check_dense_against_sparse(ops: &[AsOp]) {
                 model.unmap(a, n);
                 (Out::Unit, Out::Unit)
             }
-            AsOp::Protect(place, n, p) => {
-                let a = at(place);
-                let (n, perms) = (len(a, n), perms_of(*p));
-                (
-                    Out::Changed(asp.protect(Addr(a), n, perms)),
-                    Out::Changed(model.protect(a, n, perms)),
-                )
+            AsOp::Protect(places, p) => {
+                let ranges: Vec<(u64, u64)> = places
+                    .iter()
+                    .map(|(place, n)| {
+                        let a = at(place);
+                        (a, len(a, n))
+                    })
+                    .collect();
+                let real: Vec<(Addr, u64)> = ranges.iter().map(|&(a, n)| (Addr(a), n)).collect();
+                let perms = perms_of(*p);
+                let out = (
+                    Out::Changed(asp.protect(&real, perms)),
+                    Out::Changed(model.protect(&ranges, perms)),
+                );
+                // A failed op changed no page, a successful one the same
+                // pages: every mapped page agrees with the model.
+                for (&page, pg) in &model.pages {
+                    prop_assert_eq!(asp.perms_at(Addr(page)), Some(pg.perms), "step {}", step);
+                }
+                out
             }
             AsOp::Write(place, n, seed) => {
                 let a = at(place);

@@ -5,8 +5,8 @@
 use freepart_simos::core::{outcome_of_step, step};
 use freepart_simos::replay::{audit, forensic_chain, replay, DivergenceKind};
 use freepart_simos::{
-    CommitLog, CommitOp, CommitOutcome, FaultKind, Fd, Kernel, KernelState, Perms, Pid, ShmId,
-    Syscall, SyscallFilter, SyscallNo,
+    Addr, CommitLog, CommitOp, CommitOutcome, FaultKind, Fd, Kernel, KernelState, Perms, Pid,
+    ShmId, Syscall, SyscallFilter, SyscallNo,
 };
 use proptest::prelude::*;
 
@@ -17,7 +17,9 @@ enum Step {
     Spawn,
     Alloc(u8, u16),
     Write(u8, u8, Vec<u8>),
-    Protect(u8, u8, u8),
+    /// One to four regions by index; `None` is a range below the heap,
+    /// which no process maps.
+    Protect(u8, Vec<Option<u8>>, u8),
     ShmCreate(u8, u16),
     ShmGrant(u8, u8, u8),
     ShmMap(u8, u8),
@@ -47,11 +49,14 @@ enum Step {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let bytes = || proptest::collection::vec(any::<u8>(), 0..32);
+    // One range in eight lies below the heap.
+    let range = (any::<u8>(), 0u8..8).prop_map(|(r, k)| (k > 0).then_some(r));
+    let ranges = proptest::collection::vec(range, 1..5);
     prop_oneof![
         Just(Step::Spawn),
         (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::Alloc(p, n)),
         (any::<u8>(), any::<u8>(), bytes()).prop_map(|(p, r, d)| Step::Write(p, r, d)),
-        (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(p, r, m)| Step::Protect(p, r, m)),
+        (any::<u8>(), ranges, 0u8..5).prop_map(|(p, r, m)| Step::Protect(p, r, m)),
         (any::<u8>(), 1u16..2048).prop_map(|(p, n)| Step::ShmCreate(p, n)),
         (any::<u8>(), any::<u8>(), 0u8..5).prop_map(|(s, p, m)| Step::ShmGrant(s, p, m)),
         (any::<u8>(), any::<u8>()).prop_map(|(s, p)| Step::ShmMap(s, p)),
@@ -128,12 +133,16 @@ fn record(steps: &[Step]) -> CommitLog {
                     let _ = k.mem_write(pid, a, &d[..n]);
                 }
             }
-            Step::Protect(p, r, m) => {
-                if let (Some(pid), Some(&(_, a, len))) = (
-                    pick(&pids, *p),
-                    regions.get(*r as usize % regions.len().max(1)),
-                ) {
-                    let _ = k.protect(pid, a, len, perms_of(*m));
+            Step::Protect(p, rs, m) => {
+                let ranges: Option<Vec<_>> = rs
+                    .iter()
+                    .map(|r| match r {
+                        Some(r) => pick(&regions, *r).map(|(_, a, len)| (a, len)),
+                        None => Some((Addr(0), 1)),
+                    })
+                    .collect();
+                if let (Some(pid), Some(ranges)) = (pick(&pids, *p), ranges) {
+                    let _ = k.protect(pid, &ranges, perms_of(*m));
                 }
             }
             Step::ShmCreate(p, n) => {

@@ -42,7 +42,7 @@ proptest! {
         let mut asp = AddressSpace::new();
         let a = asp.alloc(len, Perms::RW);
         asp.write(a, &[1]).unwrap();
-        asp.protect(a, len, perms).unwrap();
+        asp.protect(&[(a, len)], perms).unwrap();
         prop_assert_eq!(asp.read(a, 1).is_ok(), perms.readable());
         prop_assert_eq!(asp.write(a, &[2]).is_ok(), perms.writable());
         prop_assert_eq!(asp.fetch(a).is_ok(), perms.executable());
