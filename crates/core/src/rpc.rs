@@ -13,7 +13,7 @@
 
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::Value;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A marshalled API-call request.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,7 +230,10 @@ impl BatchResponse {
 /// `capacity` bound remains as a backstop for hosts that never ack.
 #[derive(Debug, Default)]
 pub struct CompletionCache {
-    done: BTreeMap<u64, Value>,
+    /// `(seq, result)` in ascending seq order: an agent completes its
+    /// calls in submission order, and a crash-retry re-sends its seq
+    /// before any later call is submitted.
+    done: VecDeque<(u64, Value)>,
     capacity: usize,
     /// Highest sequence number the host has acknowledged consuming.
     acked: u64,
@@ -240,7 +243,7 @@ impl CompletionCache {
     /// A cache remembering up to `capacity` completions.
     pub fn new(capacity: usize) -> CompletionCache {
         CompletionCache {
-            done: BTreeMap::new(),
+            done: VecDeque::new(),
             capacity,
             acked: 0,
         }
@@ -248,14 +251,16 @@ impl CompletionCache {
 
     /// Looks up a previously-completed sequence (duplicate delivery).
     pub fn replay(&self, seq: u64) -> Option<&Value> {
-        self.done.get(&seq)
+        self.done.iter().find(|(s, _)| *s == seq).map(|(_, v)| v)
     }
 
     /// Records a completion, evicting the oldest entries past capacity.
+    /// `seq` is above every seq already recorded.
     pub fn complete(&mut self, seq: u64, result: Value) {
-        self.done.insert(seq, result);
+        debug_assert!(self.done.back().is_none_or(|(s, _)| *s < seq));
+        self.done.push_back((seq, result));
         while self.done.len() > self.capacity {
-            self.done.pop_first();
+            self.done.pop_front();
         }
     }
 
@@ -268,8 +273,9 @@ impl CompletionCache {
             return;
         }
         self.acked = seq;
-        // split_off keeps entries > seq; everything at or below is dead.
-        self.done = self.done.split_off(&(seq + 1));
+        while self.done.front().is_some_and(|(s, _)| *s <= seq) {
+            self.done.pop_front();
+        }
     }
 
     /// The highest acknowledged sequence number.

@@ -232,7 +232,7 @@ impl Runtime {
         if let Some(inf) = self.inflight.get(&handle.0) {
             return inf.outcome.clone();
         }
-        match self.retired.get(&handle.0) {
+        match self.retired.get(handle.0) {
             Some((outcome, _)) => outcome.clone(),
             None => Err(CallError::UnknownApi(format!(
                 "call #{} was never submitted",
@@ -282,7 +282,7 @@ impl Runtime {
         self.inflight
             .get(&handle.0)
             .map(|i| i.complete_ns)
-            .or_else(|| self.retired.get(&handle.0).map(|(_, ns)| *ns))
+            .or_else(|| self.retired.get(handle.0).map(|(_, ns)| *ns))
             .unwrap_or(0)
     }
 

@@ -159,7 +159,7 @@ impl Runtime {
         // call touched orders this call after *that producer only* —
         // the agent's timeline merges to the producer's completion.
         for obj in &needed {
-            if let Some(&ns) = self.last_touch.get(obj) {
+            if let Some(&ns) = self.last_touch.get(*obj) {
                 self.kernel.advance_timeline_to(agent_pid, ns);
             }
         }

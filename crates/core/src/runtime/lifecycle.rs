@@ -372,7 +372,7 @@ impl Runtime {
         self.objects.destroy(id);
         self.temporal.forget(id);
         self.pinned.remove(&id);
-        self.last_touch.remove(&id);
+        self.last_touch.take(id);
     }
 
     /// Spends one token from the partition's restart budget. Returns

@@ -55,7 +55,7 @@ use crate::trace::Tracer;
 use freepart_analysis::{HybridReport, SyscallProfile, TestCorpus};
 use freepart_frameworks::api::{ApiId, ApiRegistry};
 use freepart_frameworks::{ActionReport, FrameworkError, ObjectId, ObjectKind, ObjectStore, Value};
-use freepart_simos::{Addr, ChannelId, Kernel, Perms, Pid, ShmId};
+use freepart_simos::{Addr, ChannelId, IdTable, Kernel, Perms, Pid, ShmId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -121,8 +121,8 @@ struct RoutingTable {
     /// API universe per partition (each agent's filter-building set).
     groups: BTreeMap<PartitionId, BTreeSet<ApiId>>,
     /// Every partition an agent set must cover (plan partitions plus
-    /// any partition the grouping routed an API to).
-    partitions: BTreeSet<PartitionId>,
+    /// any partition the grouping routed an API to), ascending.
+    partitions: Vec<PartitionId>,
 }
 
 impl RoutingTable {
@@ -139,7 +139,7 @@ impl RoutingTable {
         RoutingTable {
             by_api,
             groups,
-            partitions,
+            partitions: partitions.into_iter().collect(),
         }
     }
 }
@@ -344,13 +344,14 @@ pub struct Runtime {
     inflight: BTreeMap<u64, InFlight>,
     /// FIFO retirement order per partition (ring responses are ordered).
     inflight_by_partition: BTreeMap<PartitionId, VecDeque<u64>>,
-    /// Retired outcomes kept for late `wait`/`promise`/dep lookups:
-    /// `(outcome, completion ns)`.
-    retired: BTreeMap<u64, (Result<Value, CallError>, u64)>,
+    /// Retired outcomes by seq, kept for late `wait`/`promise`/dep
+    /// lookups: `(outcome, completion ns)`.
+    retired: IdTable<u64, (Result<Value, CallError>, u64)>,
     /// Object hazards: when the last call touching each object completed
     /// (agent timeline). A later consumer merges its agent's timeline to
-    /// this instant — it waits for *that producer only*.
-    last_touch: BTreeMap<ObjectId, u64>,
+    /// this instant — it waits for *that producer only*. Stamped only
+    /// for objects the store holds, never for a call's raw argument ids.
+    last_touch: IdTable<ObjectId, u64>,
     /// True once per-process virtual timelines drive the kernel clock.
     pipelining: bool,
     /// Per-partition knobs (shm threshold, batch window, pipeline
@@ -446,8 +447,8 @@ impl Runtime {
             pinned: BTreeMap::new(),
             inflight: BTreeMap::new(),
             inflight_by_partition: BTreeMap::new(),
-            retired: BTreeMap::new(),
-            last_touch: BTreeMap::new(),
+            retired: IdTable::new(),
+            last_touch: IdTable::new(),
             pipelining: false,
             knob_table,
             batch: None,
@@ -464,8 +465,7 @@ impl Runtime {
     /// Spawns one agent per routed partition for `thread`, each with the
     /// routing table's API set for that partition.
     fn spawn_agent_set(&mut self, thread: ThreadId) {
-        let partitions: Vec<PartitionId> = self.routes.partitions.iter().copied().collect();
-        for p in partitions {
+        for p in self.routes.partitions.clone() {
             let apis = self.routes.groups.get(&p).cloned().unwrap_or_default();
             self.spawn_agent(thread_partition(thread, p), apis);
         }

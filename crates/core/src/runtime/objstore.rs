@@ -67,16 +67,13 @@ impl Runtime {
     /// [`CallError::StateLost`] when the payload died with a crashed
     /// agent.
     pub fn fetch_bytes(&mut self, id: ObjectId) -> Result<Vec<u8>, CallError> {
-        let meta = self
-            .objects
-            .meta(id)
-            .ok_or(CallError::StateLost(id))?
-            .clone();
+        let meta = self.objects.meta(id).ok_or(CallError::StateLost(id))?;
+        let (home, shm, buffer) = (meta.home, meta.shm, meta.buffer);
         // Reading your own memory is just a read: skip the hazard merge
         // and the fetch machinery entirely. (A producer call can only
         // have made the host the home by migrating the payload back on
         // the host's own timeline, so the merge would be a no-op.)
-        if meta.home == self.host {
+        if home == self.host {
             return self
                 .objects
                 .read_bytes(&mut self.kernel, id)
@@ -87,18 +84,18 @@ impl Runtime {
         self.flush_batch_if_touched(id);
         // LDC-deref ordering: dereferencing a payload touched by an
         // in-flight call orders the host after that producing call.
-        if let Some(&ns) = self.last_touch.get(&id) {
+        if let Some(&ns) = self.last_touch.get(id) {
             self.kernel.advance_timeline_to(self.host, ns);
         }
         let tracing = self.tracer.enabled();
         let fetch_t0 = if tracing { self.kernel.now_ns() } else { 0 };
-        let (bytes, len) = if let Some((seg, len)) = meta.shm {
+        let (bytes, len) = if let Some((seg, len)) = shm {
             // Zero-copy host deref through the host's own segment view.
             (self.read_segment_view(self.host, id, seg, len)?, len)
-        } else if let Some((addr, len)) = meta.buffer {
+        } else if let Some((addr, len)) = buffer {
             let bytes = self
                 .kernel
-                .mem_read(meta.home, addr, len)
+                .mem_read(home, addr, len)
                 .map_err(|_| CallError::StateLost(id))?;
             self.kernel.charge_copy(len);
             self.stats.host_copies += 1;
@@ -238,15 +235,11 @@ impl Runtime {
         obj: ObjectId,
         agent_pid: Pid,
     ) -> Result<(), CallError> {
-        let meta = self
-            .objects
-            .meta(obj)
-            .ok_or(CallError::StateLost(obj))?
-            .clone();
+        let meta = self.objects.meta(obj).ok_or(CallError::StateLost(obj))?;
         if meta.home == agent_pid {
             return Ok(());
         }
-        if meta.buffer.is_none() && meta.shm.is_none() {
+        if meta.is_empty() {
             // Buffer-less handles (windows, captures) carry no payload:
             // re-homing them is free and never lossy.
             self.objects
@@ -259,7 +252,7 @@ impl Runtime {
         if meta.shm.is_none() && !self.kernel.is_running(meta.home) {
             return Err(CallError::StateLost(obj));
         }
-        let transport = self.transport_for(partition, &meta);
+        let (len, transport) = (meta.len(), self.transport_for(partition, meta));
         let tracing = self.tracer.enabled();
         let copy_t0 = if tracing { self.kernel.now_ns() } else { 0 };
         {
@@ -286,7 +279,7 @@ impl Runtime {
                 thread,
                 start_ns: copy_t0,
                 end_ns: now,
-                bytes: meta.len(),
+                bytes: len,
             });
         }
         // Delivery is the only shm-promotion site: index the segment so

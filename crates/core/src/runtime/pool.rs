@@ -34,8 +34,7 @@ use crate::state::Owner;
 use crate::trace::AuditRecord;
 use freepart_frameworks::api::ApiId;
 use freepart_frameworks::{ObjectId, Value};
-use freepart_simos::{DrrScheduler, Pid};
-use std::collections::BTreeMap;
+use freepart_simos::{DrrScheduler, IdTable, Pid};
 use std::fmt;
 
 /// Identifier of one tenant pipeline in pooled mode. Wraps the tenant's
@@ -91,6 +90,16 @@ pub(super) struct Ticket {
     served: Option<(u64, Result<CallHandle, CallError>)>,
 }
 
+/// One admitted tenant.
+#[derive(Debug)]
+struct Tenant {
+    /// Its own pipeline process (its host-side context).
+    pid: Pid,
+    /// Call latencies (enqueue → retire, global clock), for the p50/p99
+    /// curves and the starvation-freedom bound.
+    latencies: Vec<u64>,
+}
+
 /// Everything pooled mode adds to the runtime (`Policy::pooled`); the
 /// runtime holds one of these, or `None` for per-thread agent sets.
 #[derive(Debug)]
@@ -98,27 +107,22 @@ pub(super) struct Pool {
     /// Deficit-round-robin run queues over tenants, one per pool
     /// partition.
     sched: DrrScheduler,
-    /// Tickets by handle id (queued and completed).
-    tickets: BTreeMap<u64, Ticket>,
-    next_ticket: u64,
+    /// Tickets by handle id (queued and completed); the table mints ids.
+    tickets: IdTable<u64, Ticket>,
     /// Round-robin cursor over pools for `pump_one`.
     cursor: usize,
-    /// Each tenant's own pipeline process (its host-side context).
-    pids: BTreeMap<u32, Pid>,
-    /// Per-tenant call latencies (enqueue → retire, global clock), for
-    /// the p50/p99 curves and the starvation-freedom bound.
-    latencies: BTreeMap<u32, Vec<u64>>,
+    /// Admitted tenants by thread number. Only `spawn_tenant` inserts;
+    /// a `TenantId` from outside is looked up, and refused if absent.
+    tenants: IdTable<u32, Tenant>,
 }
 
 impl Pool {
     pub(super) fn new(cfg: PoolConfig) -> Pool {
         Pool {
             sched: DrrScheduler::new(cfg.quantum),
-            tickets: BTreeMap::new(),
-            next_ticket: 0,
+            tickets: IdTable::new(),
             cursor: 0,
-            pids: BTreeMap::new(),
-            latencies: BTreeMap::new(),
+            tenants: IdTable::new(),
         }
     }
 }
@@ -144,8 +148,12 @@ impl Runtime {
         );
         let thread = self.temporal.add_thread();
         let pid = self.kernel.spawn(&format!("tenant:{}", thread.0));
+        let tenant = Tenant {
+            pid,
+            latencies: Vec::new(),
+        };
         let pool = self.pool.as_mut().expect("checked");
-        pool.pids.insert(thread.0, pid);
+        pool.tenants.insert(thread.0, tenant);
         TenantId(thread.0)
     }
 
@@ -154,14 +162,14 @@ impl Runtime {
     /// view of the victim's segment was ever granted to the attacker")
     /// be re-derived from a commit-log replay alone.
     pub fn tenant_pid(&self, tenant: TenantId) -> Option<Pid> {
-        self.pool.as_ref()?.pids.get(&tenant.0).copied()
+        Some(self.pool.as_ref()?.tenants.get(tenant.0)?.pid)
     }
 
     /// Pooled process census: `(shared agents, tenant processes)`. The
     /// deployment's total is the sum plus the host — versus
     /// `5N` (agents × tenants + contexts) for per-tenant agent sets.
     pub fn pooled_process_count(&self) -> (usize, usize) {
-        let tenants = self.pool.as_ref().map_or(0, |p| p.pids.len());
+        let tenants = self.pool.as_ref().map_or(0, |p| p.tenants.len());
         (self.agents.len(), tenants)
     }
 
@@ -175,7 +183,9 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`CallError::UnknownApi`] for names outside the registry.
+    /// [`CallError::UnknownApi`] for names outside the registry and for
+    /// a tenant [`Runtime::spawn_tenant`] never admitted; nothing is
+    /// queued then.
     pub fn tenant_submit(
         &mut self,
         tenant: TenantId,
@@ -186,14 +196,14 @@ impl Runtime {
             .reg
             .id_of(name)
             .ok_or_else(|| CallError::UnknownApi(name.to_owned()))?;
+        self.admitted(tenant)?;
         let pool = self.partition_of(api);
         let enqueue_ns = self.kernel.now_ns();
         let p = self
             .pool
             .as_mut()
             .expect("tenant_submit requires pooled mode");
-        let ticket_id = p.next_ticket;
-        p.next_ticket += 1;
+        let ticket_id = p.tickets.next_id();
         let own_ahead = p.sched.enqueue(pool.0, tenant.0, ticket_id, 1);
         let ticket = Ticket {
             tenant,
@@ -205,8 +215,7 @@ impl Runtime {
             tenant_served_at: p.sched.served_cost(pool.0, tenant.0),
             served: None,
         };
-        p.tickets.insert(ticket_id, ticket);
-        Ok(TenantHandle(ticket_id))
+        Ok(TenantHandle(p.tickets.push(ticket)))
     }
 
     /// Serves the next queued pooled call in scheduler order: pools are
@@ -214,7 +223,7 @@ impl Runtime {
     /// Returns the completed call's handle, or `None` when every run
     /// queue is idle.
     pub fn pump_one(&mut self) -> Option<TenantHandle> {
-        let pools: Vec<PartitionId> = self.routes.partitions.iter().copied().collect();
+        let pools = &self.routes.partitions;
         let n = pools.len();
         let p = self.pool.as_mut()?;
         let (pool, ticket_id) = (0..n).find_map(|i| {
@@ -223,7 +232,7 @@ impl Runtime {
             p.cursor = (p.cursor + i + 1) % n;
             Some((pool, ticket_id))
         })?;
-        let t = p.tickets.get_mut(&ticket_id).expect("queued ticket");
+        let t = p.tickets.get_mut(ticket_id).expect("queued ticket");
         let (tenant, api) = (t.tenant, t.api);
         let args = std::mem::take(&mut t.args);
         // Fairness accounting happens at dequeue: the sum below
@@ -237,10 +246,11 @@ impl Runtime {
         }
         let now = self.kernel.now_ns();
         let p = self.pool.as_mut().expect("pooled");
-        let t = p.tickets.get_mut(&ticket_id).expect("queued ticket");
+        let t = p.tickets.get_mut(ticket_id).expect("queued ticket");
         t.served = Some((foreign, call));
         let latency = now.saturating_sub(t.enqueue_ns);
-        p.latencies.entry(tenant.0).or_default().push(latency);
+        let record = p.tenants.get_mut(tenant.0).expect("admitted at submit");
+        record.latencies.push(latency);
         Some(TenantHandle(ticket_id))
     }
 
@@ -304,9 +314,11 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`CallError::TenantDenied`] for foreign objects;
+    /// [`CallError::UnknownApi`] for a tenant [`Runtime::spawn_tenant`]
+    /// never admitted; [`CallError::TenantDenied`] for foreign objects;
     /// [`CallError::StateLost`] when the payload died with its process.
     pub fn tenant_fetch(&mut self, tenant: TenantId, id: ObjectId) -> Result<Vec<u8>, CallError> {
+        self.admitted(tenant)?;
         let thread = tenant.thread();
         if !self.tenant_may_access(thread, id) {
             let pool = self
@@ -331,6 +343,18 @@ impl Runtime {
     // ------------------------------------------------------------------
     // The tenant gate
     // ------------------------------------------------------------------
+
+    /// Refuses a tenant [`Runtime::spawn_tenant`] never admitted: the
+    /// main thread, which would skip the gate, and forged ids, which
+    /// would size the scheduler's tenant table.
+    fn admitted(&self, tenant: TenantId) -> Result<(), CallError> {
+        match &self.pool {
+            Some(p) if !p.tenants.contains(tenant.0) => {
+                Err(CallError::UnknownApi(format!("{tenant} not spawned")))
+            }
+            _ => Ok(()),
+        }
+    }
 
     /// Whether `thread`'s namespace admits `obj`: its own objects,
     /// shared annotated host data, objects owned by the main thread
@@ -384,8 +408,8 @@ impl Runtime {
     pub fn tenant_latencies(&self, tenant: TenantId) -> &[u64] {
         self.pool
             .as_ref()
-            .and_then(|p| p.latencies.get(&tenant.0))
-            .map_or(&[], Vec::as_slice)
+            .and_then(|p| p.tenants.get(tenant.0))
+            .map_or(&[], |t| t.latencies.as_slice())
     }
 
     /// Fairness measurement for a completed ticket:
@@ -400,6 +424,6 @@ impl Runtime {
     }
 
     fn ticket(&self, handle: TenantHandle) -> Option<&Ticket> {
-        self.pool.as_ref()?.tickets.get(&handle.0)
+        self.pool.as_ref()?.tickets.get(handle.0)
     }
 }

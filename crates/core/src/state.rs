@@ -22,8 +22,7 @@
 use crate::runtime::ThreadId;
 use freepart_frameworks::api::ApiType;
 use freepart_frameworks::{ObjectId, ObjectMeta, ObjectStore};
-use freepart_simos::{Addr, Kernel, Perms, Pid};
-use std::collections::btree_map::Entry;
+use freepart_simos::{Addr, IdTable, Kernel, Perms, Pid};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -110,8 +109,9 @@ pub struct TemporalPlane {
     /// but nothing is ever locked.
     enabled: bool,
     /// Slot `i` tracks `ThreadId(i)`: `add_thread` hands ids out densely.
+    /// Nothing is ever removed, so a plain `Vec` serves.
     threads: Vec<ThreadTrack>,
-    owners: BTreeMap<ObjectId, Owner>,
+    owners: IdTable<ObjectId, Owner>,
     /// The threads holding a lock on each annotated host-data object.
     shared: BTreeMap<ObjectId, BTreeSet<ThreadId>>,
     /// `None` keys objects no thread tracks.
@@ -127,7 +127,7 @@ impl TemporalPlane {
         TemporalPlane {
             enabled,
             threads: vec![ThreadTrack::default()],
-            owners: BTreeMap::new(),
+            owners: IdTable::new(),
             shared: BTreeMap::new(),
             segments: BTreeMap::new(),
             transitions: 0,
@@ -162,22 +162,24 @@ impl TemporalPlane {
     }
 
     /// Registers `id` as owned by `thread`, defined in its current state.
-    /// The first definition wins.
+    /// The first definition wins. `id` must be one the object store
+    /// minted: it indexes the plane's owner table (see `IdTable::insert`).
     pub fn define(&mut self, thread: ThreadId, id: ObjectId) {
         let Some(track) = self.threads.get_mut(thread.0 as usize) else {
             return;
         };
-        if let Entry::Vacant(owner) = self.owners.entry(id) {
-            owner.insert(Owner::Thread(thread));
+        if !self.owners.contains(id) {
+            self.owners.insert(id, Owner::Thread(thread));
             track.define(id);
         }
     }
 
     /// Registers annotated host data, defined in every thread's current
-    /// state. The first definition wins.
+    /// state. The first definition wins. `id` must be one the object
+    /// store minted, as for [`TemporalPlane::define`].
     pub fn share(&mut self, id: ObjectId) {
-        if let Entry::Vacant(owner) = self.owners.entry(id) {
-            owner.insert(Owner::Shared);
+        if !self.owners.contains(id) {
+            self.owners.insert(id, Owner::Shared);
             self.shared.insert(id, BTreeSet::new());
             self.threads.iter_mut().for_each(|track| track.define(id));
         }
@@ -185,7 +187,7 @@ impl TemporalPlane {
 
     /// Who tracks `id`; `None` when no thread does.
     pub(crate) fn owner(&self, id: ObjectId) -> Option<Owner> {
-        self.owners.get(&id).copied()
+        self.owners.get(id).copied()
     }
 
     /// Records `thread` observing an API of type `t`: on a state change,
@@ -313,7 +315,7 @@ impl TemporalPlane {
         self.locked -= u64::from(self.locks(id) > 0);
         self.shared.remove(&id);
         self.drop_segment(id);
-        let owner = self.owners.remove(&id);
+        let owner = self.owners.take(id);
         let tracks: Vec<&mut ThreadTrack> = match owner {
             Some(Owner::Thread(t)) => self.threads.get_mut(t.0 as usize).into_iter().collect(),
             Some(Owner::Shared) => self.threads.iter_mut().collect(),
@@ -362,22 +364,27 @@ pub fn reapply(
 
 /// Moves the payloads of `ids` to `perms`: a `shm_protect_all` per
 /// segment (every mapped view at once) and one `protect` per running
-/// home over its buffers, in object order. A range not wholly mapped
-/// (an agent `munmap`ed it) is dropped, lest the atomic op fail for its
-/// whole home, and so is one already at `perms`: a no-op storm is free.
+/// home over its buffers, homes ascending and ranges in object order (a
+/// stable sort by home). A range not wholly mapped (an agent `munmap`ed
+/// it) is dropped, lest the atomic op fail for its whole home, and so is
+/// one already at `perms`: a no-op storm is free.
 fn set_perms(kernel: &mut Kernel, objects: &ObjectStore, ids: &[ObjectId], perms: Perms) {
-    let mut homes: BTreeMap<Pid, Vec<(Addr, u64)>> = BTreeMap::new();
+    let mut buffers: Vec<(Pid, (Addr, u64))> = Vec::with_capacity(ids.len());
     for meta in ids.iter().filter_map(|&id| objects.meta(id)) {
         if let Some((seg, _)) = meta.shm {
             kernel.shm_protect_all(seg, perms).ok();
         } else if let Some(range) = meta.buffer {
-            homes.entry(meta.home).or_default().push(range);
+            buffers.push((meta.home, range));
         }
     }
-    for (home, mut ranges) in homes {
+    buffers.sort_by_key(|&(home, _)| home);
+    for group in buffers.chunk_by(|a, b| a.0 == b.0) {
+        let home = group[0].0;
         if let Some(p) = kernel.process(home).ok().filter(|p| p.is_running()) {
             let asp = &p.aspace;
-            ranges.retain(|&(a, n)| asp.is_mapped(a, n) && !asp.perms_match(a, n, perms));
+            let ranges: Vec<(Addr, u64)> = (group.iter().map(|&(_, r)| r))
+                .filter(|&(a, n)| asp.is_mapped(a, n) && !asp.perms_match(a, n, perms))
+                .collect();
             if !ranges.is_empty() {
                 kernel.protect(home, &ranges, perms).ok();
             }

@@ -323,6 +323,37 @@ fn exploit_write_past_the_top_of_memory_is_contained() {
     });
 }
 
+/// A forged object id sizes nothing: a call or a fetch naming
+/// `ObjectId(u64::MAX)` is `StateLost` on the pooled and on the
+/// synchronous path, before any table is indexed by it, and the next
+/// honest call succeeds.
+#[test]
+fn a_forged_object_id_is_state_lost_and_sizes_nothing() {
+    let forged = ObjectId(u64::MAX);
+    let lost = CallError::StateLost(forged);
+    let mut pooled = rt_with(Policy::freepart_pooled());
+    seed_image(&mut pooled, "/ok.simg", 8);
+    let t = pooled.spawn_tenant();
+    let h = pooled
+        .tenant_submit(t, "cv2.GaussianBlur", &[Value::Obj(forged)])
+        .unwrap();
+    assert!(pooled.pump_one().is_some());
+    assert_eq!(pooled.tenant_wait(h), Err(lost.clone()));
+    assert_eq!(pooled.tenant_fetch(t, forged), Err(lost.clone()));
+    let img = pooled
+        .call_tenant(t, "cv2.imread", &[Value::from("/ok.simg")])
+        .unwrap();
+    assert!(pooled.call_tenant(t, "cv2.GaussianBlur", &[img]).is_ok());
+
+    let mut sync = rt_with(Policy::freepart());
+    seed_image(&mut sync, "/ok.simg", 8);
+    let blur = sync.call("cv2.GaussianBlur", &[Value::Obj(forged)]);
+    assert_eq!(blur, Err(lost.clone()));
+    assert_eq!(sync.fetch_bytes(forged), Err(lost));
+    let img = sync.call("cv2.imread", &[Value::from("/ok.simg")]).unwrap();
+    assert!(sync.call("cv2.GaussianBlur", &[img]).is_ok());
+}
+
 #[test]
 fn exploit_read_of_a_wrapping_length_is_contained() {
     assert_wild_payload_contained(|mapped| ExploitAction::ExfilMem {

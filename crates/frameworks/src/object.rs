@@ -13,7 +13,7 @@
 //! the host process (two hops) and direct agent-to-agent transfer (one
 //! hop, the Lazy Data Copy fast path).
 
-use freepart_simos::{Addr, Kernel, Perms, Pid, ShmId, SimError, WindowId};
+use freepart_simos::{Addr, DenseId, IdTable, Kernel, Perms, Pid, ShmId, SimError, WindowId};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -24,6 +24,15 @@ pub struct ObjectId(pub u64);
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "obj{}", self.0)
+    }
+}
+
+impl DenseId for ObjectId {
+    fn slot(self) -> u64 {
+        self.0
+    }
+    fn from_slot(slot: u64) -> ObjectId {
+        ObjectId(slot)
     }
 }
 
@@ -157,11 +166,9 @@ impl ObjectMeta {
 /// ```
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    /// Slot `i` holds object `i`: `insert` hands ids out densely and
-    /// never reuses one, so a destroyed object leaves an empty slot.
-    objects: Vec<Option<ObjectMeta>>,
-    /// Number of live (`Some`) slots.
-    live: usize,
+    /// The table mints ids and never reuses one, so a destroyed object
+    /// leaves an empty slot.
+    objects: IdTable<ObjectId, ObjectMeta>,
     /// Live objects of a stateful kind, updated only where objects enter
     /// (`insert`) and leave (`destroy`) the store: a kind never changes
     /// variant. Deliberately not keyed by `home`, which every move and
@@ -208,7 +215,7 @@ impl ObjectStore {
         if kind.is_stateful() {
             self.stateful.insert(id);
         }
-        let meta = ObjectMeta {
+        self.objects.push(ObjectMeta {
             id,
             kind,
             home,
@@ -216,20 +223,17 @@ impl ObjectStore {
             shm: None,
             label: label.to_owned(),
             taint: None,
-        };
-        self.objects.push(Some(meta));
-        self.live += 1;
-        id
+        })
     }
 
     /// Looks up an object's metadata.
     pub fn meta(&self, id: ObjectId) -> Option<&ObjectMeta> {
-        self.objects.get(id.0 as usize)?.as_ref()
+        self.objects.get(id)
     }
 
     /// Mutable metadata access (kind updates for stateful objects).
     pub fn meta_mut(&mut self, id: ObjectId) -> Option<&mut ObjectMeta> {
-        self.objects.get_mut(id.0 as usize)?.as_mut()
+        self.objects.get_mut(id)
     }
 
     /// Reads the full payload of an object *through the kernel* (so page
@@ -372,9 +376,7 @@ impl ObjectStore {
     /// reuses addresses, so dangling references fault realistically).
     pub fn destroy(&mut self, id: ObjectId) -> Option<ObjectMeta> {
         self.stateful.remove(&id);
-        let meta = self.objects.get_mut(id.0 as usize)?.take()?;
-        self.live -= 1;
-        Some(meta)
+        self.objects.take(id)
     }
 
     /// Live objects of a stateful kind ([`ObjectKind::is_stateful`]), in
@@ -392,13 +394,13 @@ impl ObjectStore {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.live
+        self.objects.len()
     }
 
     /// The id the *next* created object will receive — a monotone
     /// watermark callers use to identify objects created during a window.
     pub fn next_id_watermark(&self) -> u64 {
-        self.objects.len() as u64
+        self.objects.next_id()
     }
 
     /// Ids of live objects created at or after `watermark` (a value
@@ -406,18 +408,17 @@ impl ObjectStore {
     /// ascending order. Ids are dense and monotone, so this walks just
     /// the tail of the table — O(new objects), not O(live objects).
     pub fn ids_since(&self, watermark: u64) -> impl Iterator<Item = ObjectId> + '_ {
-        let tail = self.objects.get(watermark as usize..).unwrap_or_default();
-        tail.iter().flatten().map(|m| m.id)
+        self.objects.ids_since(watermark)
     }
 
     /// True when no objects are live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.objects.is_empty()
     }
 
     /// Iterator over all live objects, in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = &ObjectMeta> {
-        self.objects.iter().flatten()
+        self.objects.values()
     }
 }
 

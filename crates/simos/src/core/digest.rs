@@ -154,7 +154,9 @@ impl EntitySums {
     /// process input recomputed too.
     fn from_scratch(s: &KernelState) -> EntitySums {
         EntitySums {
-            procs: sum_of(&s.procs, |pid, p| proc_fp(pid, p, fresh_parts(p))),
+            procs: s.procs.iter().fold(0u64, |sum, (pid, p)| {
+                sum.wrapping_add(proc_fp(pid, p, fresh_parts(p)))
+            }),
             timelines: sum_of(&s.timelines, timeline_fp),
             channels: sum_of(&s.channels, channel_fp),
             shm: sum_of(&s.shm, segment_fp),
@@ -279,7 +281,7 @@ impl Footprint {
         } = state;
         match op {
             CommitOp::Reap { pid } => {
-                if let Some(p) = procs.get_mut(pid) {
+                if let Some(p) = procs.get_mut(*pid) {
                     sums.procs = sums.procs.wrapping_sub(std::mem::take(&mut p.digest_term));
                 }
             }
@@ -311,7 +313,7 @@ impl Footprint {
             ..
         } = state;
         for pid in self.procs.iter().flatten() {
-            if let Some(p) = procs.get_mut(pid) {
+            if let Some(p) = procs.get_mut(*pid) {
                 match op {
                     CommitOp::Syscall { .. } => p.fd_fp = fd_table_fp(&p.fd_table),
                     CommitOp::InstallFilter { .. } => {

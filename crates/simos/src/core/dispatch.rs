@@ -172,7 +172,7 @@ pub(super) fn dispatch(state: &mut KernelState, pid: Pid, call: Syscall) -> SimR
             Ok(SyscallRet::Ok)
         }
         S::Mprotect { addr, len, perms } => {
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.procs.get_mut(pid).expect("checked");
             match p.aspace.protect(&[(addr, len)], perms) {
                 Ok(changed) => {
                     if changed > 0 {

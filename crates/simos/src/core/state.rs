@@ -16,6 +16,7 @@ use crate::device::{Camera, Display, NetworkLog};
 use crate::error::{SimError, SimResult};
 use crate::filter::SyscallFilter;
 use crate::fs::SimFs;
+use crate::idtable::IdTable;
 use crate::ipc::{ChannelId, RingChannel};
 use crate::mem::{Addr, Perms, PAGE_SIZE};
 use crate::process::{Pid, SimProcess};
@@ -94,7 +95,9 @@ const ENTROPY_SEED: u64 = 0x5eed;
 /// The shell [`Kernel`](crate::Kernel) derefs to `KernelState`, so every
 /// read here is also available on the kernel handle.
 pub struct KernelState {
-    pub(crate) procs: BTreeMap<Pid, SimProcess>,
+    /// Processes by pid: `Spawn` mints pids from `next_pid` and `Reap`
+    /// takes the slot, so iteration runs in pid order.
+    pub(crate) procs: IdTable<Pid, SimProcess>,
     pub(crate) next_pid: u32,
     pub(crate) channels: BTreeMap<ChannelId, RingChannel>,
     pub(crate) next_channel: u32,
@@ -139,7 +142,7 @@ impl KernelState {
     /// A fresh state with a custom cost model.
     pub fn with_cost_model(cost: CostModel) -> KernelState {
         KernelState {
-            procs: BTreeMap::new(),
+            procs: IdTable::new(),
             next_pid: 1,
             channels: BTreeMap::new(),
             next_channel: 0,
@@ -202,19 +205,14 @@ impl KernelState {
 
     /// Immutable access to a process.
     pub fn process(&self, pid: Pid) -> SimResult<&SimProcess> {
-        self.procs.get(&pid).ok_or(SimError::NoSuchProcess(pid))
+        self.procs.get(pid).ok_or(SimError::NoSuchProcess(pid))
     }
 
     /// Mutable access to a process, for the core's transition bodies.
     /// Every mutation must go through `step` so the commit log and the
     /// digest's multiset hashes see it.
     pub(crate) fn process_mut(&mut self, pid: Pid) -> SimResult<&mut SimProcess> {
-        self.procs.get_mut(&pid).ok_or(SimError::NoSuchProcess(pid))
-    }
-
-    /// All pids, in spawn order.
-    pub fn pids(&self) -> Vec<Pid> {
-        self.procs.keys().copied().collect()
+        self.procs.get_mut(pid).ok_or(SimError::NoSuchProcess(pid))
     }
 
     /// Number of processes ever spawned and still tracked.
@@ -224,7 +222,7 @@ impl KernelState {
 
     /// True when the process exists and is running.
     pub fn is_running(&self, pid: Pid) -> bool {
-        self.procs.get(&pid).is_some_and(|p| p.is_running())
+        self.procs.get(pid).is_some_and(|p| p.is_running())
     }
 
     pub(crate) fn require_running(&self, pid: Pid) -> SimResult<()> {
@@ -295,7 +293,7 @@ impl KernelState {
     /// [`AddressSpace::write_epoch`](crate::mem::AddressSpace::write_epoch);
     /// reading an epoch charges nothing.
     pub fn write_epoch(&self, pid: Pid, addr: Addr, len: u64) -> Option<u64> {
-        let p = self.procs.get(&pid)?;
+        let p = self.procs.get(pid)?;
         if !p.is_running() {
             return None;
         }
@@ -308,7 +306,7 @@ impl KernelState {
     /// entirely when the permission delta is empty.
     pub fn perms_match(&self, pid: Pid, addr: Addr, len: u64, perms: Perms) -> bool {
         self.procs
-            .get(&pid)
+            .get(pid)
             .is_some_and(|p| p.is_running() && p.aspace.perms_match(addr, len, perms))
     }
 
@@ -363,8 +361,8 @@ impl KernelState {
     /// Panics on any violation — reaching one means the state machine
     /// itself is broken, not the workload.
     pub fn check_invariants(&self) {
-        for (pid, p) in &self.procs {
-            assert_eq!(*pid, p.pid, "process map key disagrees with pid");
+        for (pid, p) in self.procs.iter() {
+            assert_eq!(pid, p.pid, "process map key disagrees with pid");
             assert!(pid.0 < self.next_pid, "pid {pid} at/above next_pid");
         }
         for id in self.channels.keys() {
@@ -380,7 +378,7 @@ impl KernelState {
             assert!(id.0 < self.next_shm, "segment {id} at/above counter");
             for (pid, _) in seg.grants() {
                 assert!(
-                    self.procs.contains_key(&pid),
+                    self.procs.contains(pid),
                     "grant on {id} held by untracked {pid}"
                 );
             }

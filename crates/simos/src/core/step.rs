@@ -134,7 +134,7 @@ pub(super) fn crash(
     addr: Option<Addr>,
 ) -> Fault {
     let fault = Fault { pid, kind, addr };
-    if let Some(p) = state.procs.get_mut(&pid) {
+    if let Some(p) = state.procs.get_mut(pid) {
         if p.is_running() {
             p.state = ProcessState::Crashed(fault.clone());
             state.metrics.faults += 1;
@@ -173,12 +173,12 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         }
         O::Reap { pid } => {
             let pid = *pid;
-            let p = state.procs.get(&pid).ok_or(SimError::NoSuchProcess(pid))?;
+            let p = state.procs.get(pid).ok_or(SimError::NoSuchProcess(pid))?;
             if p.is_running() {
                 return Err(SimError::Errno(Errno::Eperm));
             }
             let pages = p.aspace.mapped_bytes() / PAGE_SIZE;
-            state.procs.remove(&pid);
+            state.procs.take(pid);
             for seg in state.shm.values_mut() {
                 seg.purge(pid);
             }
@@ -186,7 +186,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
             Ok(StepValue::Num(pages))
         }
         O::ForceExit { pid, code } => {
-            let changed = match state.procs.get_mut(pid) {
+            let changed = match state.procs.get_mut(*pid) {
                 Some(p) if p.is_running() => {
                     p.state = ProcessState::Exited(*code);
                     true
@@ -198,7 +198,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         O::SetNoNewPrivs { pid } => {
             let p = state
                 .procs
-                .get_mut(pid)
+                .get_mut(*pid)
                 .ok_or(SimError::NoSuchProcess(*pid))?;
             p.no_new_privs = true;
             Ok(StepValue::Unit)
@@ -213,7 +213,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         O::MemWrite { pid, addr, bytes } => {
             let (pid, addr) = (*pid, *addr);
             state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.procs.get_mut(pid).expect("checked");
             match p.aspace.write(addr, bytes) {
                 Ok(()) => Ok(StepValue::Unit),
                 Err(kind) => Err(crash(state, pid, kind, Some(addr)).into()),
@@ -222,7 +222,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         O::Protect { pid, ranges, perms } => {
             let pid = *pid;
             state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.procs.get_mut(pid).expect("checked");
             match p.aspace.protect(ranges, *perms) {
                 Ok(changed) => {
                     if changed > 0 {
@@ -330,7 +330,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         O::InstallFilter { pid, filter } => {
             let pid = *pid;
             state.require_running(pid)?;
-            let p = state.procs.get_mut(&pid).expect("checked");
+            let p = state.procs.get_mut(pid).expect("checked");
             if p.no_new_privs {
                 return Err(SimError::Errno(Errno::Eperm));
             }
@@ -343,7 +343,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
             // Filter check (seccomp runs before the syscall body).
             let decision = state
                 .procs
-                .get(&pid)
+                .get(pid)
                 .expect("checked")
                 .filter
                 .as_ref()
@@ -435,7 +435,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
         O::ChargeCompute { pid, units } => {
             let ns = state.cost.compute_cost(*units);
             state.charge_to(*pid, ns);
-            if let Some(p) = state.procs.get_mut(pid) {
+            if let Some(p) = state.procs.get_mut(*pid) {
                 p.cpu_ns += ns;
             }
             Ok(StepValue::Unit)
@@ -468,7 +468,7 @@ fn apply(state: &mut KernelState, op: &CommitOp) -> StepResult {
             }
             state.mode = TimelineMode::PerProcess;
             let now = state.clock.now_ns();
-            for pid in state.procs.keys().copied().collect::<Vec<_>>() {
+            for pid in state.procs.iter().map(|(pid, _)| pid).collect::<Vec<_>>() {
                 let mut c = VirtualClock::new();
                 c.charge(now);
                 state.timelines.insert(pid, c);

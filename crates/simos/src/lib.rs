@@ -58,6 +58,7 @@ pub mod device;
 pub mod error;
 pub mod filter;
 pub mod fs;
+pub mod idtable;
 pub mod ipc;
 pub mod kernel;
 pub mod mem;
@@ -75,6 +76,7 @@ pub use device::{Camera, DeviceKind, Display, NetworkLog, WindowId};
 pub use error::{Errno, Fault, FaultKind, SimError, SimResult};
 pub use filter::{FdRule, FilterDecision, SyscallFilter};
 pub use fs::SimFs;
+pub use idtable::{DenseId, IdTable};
 pub use ipc::{ChannelEnd, ChannelId};
 pub use kernel::{Kernel, TimelineMode};
 pub use mem::{Addr, AddressSpace, Perms, PAGE_SIZE};

@@ -19,12 +19,15 @@
 //! `Q · ceil((k+1)/Q) + Q` items — independent of how much work any
 //! tenant has queued. The pooled proptests assert this window.
 
+use crate::idtable::IdTable;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A pool's run-queue key (one pool per partition/agent type).
 pub type PoolId = u32;
 
-/// A tenant key within a pool.
+/// A tenant key within a pool. Keys index a dense table, so they must
+/// be ids the caller minted (counted up from 0), not values that arrive
+/// from outside: a key sizes its pool's tenant table.
 pub type TenantKey = u32;
 
 /// One queued unit of work: an opaque caller tag plus its cost in
@@ -49,7 +52,7 @@ struct TenantQueue {
 struct Pool {
     /// Round-robin ring of tenants with queued work.
     ring: VecDeque<TenantKey>,
-    tenants: BTreeMap<TenantKey, TenantQueue>,
+    tenants: IdTable<TenantKey, TenantQueue>,
     /// Whether the current ring head already received its quantum for
     /// this visit (a visit can span several `dequeue` calls).
     head_charged: bool,
@@ -83,7 +86,10 @@ impl DrrScheduler {
     /// of items already queued for that tenant (its backlog position).
     pub fn enqueue(&mut self, pool: PoolId, tenant: TenantKey, tag: u64, cost: u64) -> usize {
         let p = self.pools.entry(pool).or_default();
-        let q = p.tenants.entry(tenant).or_default();
+        if !p.tenants.contains(tenant) {
+            p.tenants.insert(tenant, TenantQueue::default());
+        }
+        let q = p.tenants.get_mut(tenant).expect("just filled");
         let position = q.items.len();
         q.items.push_back(Item {
             tag,
@@ -106,7 +112,7 @@ impl DrrScheduler {
         // terminates within one full ring pass plus one recharge round.
         loop {
             let head = *p.ring.front()?;
-            let q = p.tenants.get_mut(&head).expect("ring members have queues");
+            let q = p.tenants.get_mut(head).expect("ring members have queues");
             if !p.head_charged {
                 q.deficit = q.deficit.saturating_add(quantum);
                 p.head_charged = true;
@@ -142,14 +148,6 @@ impl DrrScheduler {
         }
     }
 
-    /// Items queued for `tenant` on `pool`.
-    pub fn backlog(&self, pool: PoolId, tenant: TenantKey) -> usize {
-        self.pools
-            .get(&pool)
-            .and_then(|p| p.tenants.get(&tenant))
-            .map_or(0, |q| q.items.len())
-    }
-
     /// Items dequeued from `pool` so far (the pool's fairness clock).
     pub fn served(&self, pool: PoolId) -> u64 {
         self.pools.get(&pool).map_or(0, |p| p.served)
@@ -159,7 +157,7 @@ impl DrrScheduler {
     pub fn served_cost(&self, pool: PoolId, tenant: TenantKey) -> u64 {
         self.pools
             .get(&pool)
-            .and_then(|p| p.tenants.get(&tenant))
+            .and_then(|p| p.tenants.get(tenant))
             .map_or(0, |q| q.served_cost)
     }
 

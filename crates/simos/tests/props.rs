@@ -3,8 +3,8 @@
 
 use freepart_simos::commit::{fold, fold_bytes, mix, FINGERPRINT_SEED};
 use freepart_simos::{
-    Addr, AddressSpace, Errno, FaultKind, FdRule, Kernel, Perms, SimError, Syscall, SyscallFilter,
-    SyscallNo, PAGE_SIZE,
+    Addr, AddressSpace, Errno, FaultKind, FdRule, IdTable, Kernel, Perms, SimError, Syscall,
+    SyscallFilter, SyscallNo, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -625,6 +625,198 @@ proptest! {
     #[ignore]
     fn dense_table_matches_sparse_walk_deep(ops in proptest::collection::vec(arb_as_op(), 1..80)) {
         check_dense_against_sparse(&ops);
+    }
+}
+
+/// Where an [`IdTable`] lookup lands.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    /// A live id (the n-th, modulo the live count).
+    Live(u8),
+    /// An id whose value was taken.
+    Taken(u8),
+    /// An id at or past the table's end, never minted.
+    Unborn(u8),
+    /// An id no table could hold: `u64::MAX` and its kin.
+    Huge(u8),
+}
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    /// The table mints the id.
+    Push(u16),
+    /// Another counter mints a fresh id `gap` past the table's end.
+    Insert(u8, u16),
+    /// An id minted earlier but skipped by a gap arrives late.
+    InsertLate(u8, u16),
+    Get(Probe),
+    GetMut(Probe, u16),
+    Take(Probe),
+    Contains(Probe),
+}
+
+fn arb_probe() -> impl Strategy<Value = Probe> {
+    prop_oneof![
+        any::<u8>().prop_map(Probe::Live),
+        any::<u8>().prop_map(Probe::Taken),
+        any::<u8>().prop_map(Probe::Unborn),
+        any::<u8>().prop_map(Probe::Huge),
+    ]
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        any::<u16>().prop_map(TableOp::Push),
+        (0u8..4, any::<u16>()).prop_map(|(g, v)| TableOp::Insert(g, v)),
+        (any::<u8>(), any::<u16>()).prop_map(|(i, v)| TableOp::InsertLate(i, v)),
+        arb_probe().prop_map(TableOp::Get),
+        (arb_probe(), any::<u16>()).prop_map(|(p, v)| TableOp::GetMut(p, v)),
+        arb_probe().prop_map(TableOp::Take),
+        arb_probe().prop_map(TableOp::Contains),
+    ]
+}
+
+/// The `BTreeMap` an [`IdTable`] must answer like, plus the id
+/// bookkeeping the model needs to pick ids: one past the highest id
+/// ever held, the ids taken, and the ids a gap skipped.
+#[derive(Default)]
+struct TableModel {
+    map: BTreeMap<u64, u16>,
+    end: u64,
+    taken: Vec<u64>,
+    skipped: BTreeSet<u64>,
+}
+
+impl TableModel {
+    fn pick<T: Copy>(ids: impl ExactSizeIterator<Item = T>, n: u8) -> Option<T> {
+        let len = ids.len();
+        ids.into_iter().nth(usize::from(n) % len.max(1))
+    }
+
+    /// The id a probe names; a probe with nothing to name is unborn.
+    fn resolve(&self, probe: Probe) -> u64 {
+        let unborn = |n: u8| self.end + u64::from(n % 4);
+        match probe {
+            Probe::Live(n) => Self::pick(self.map.keys().copied(), n).unwrap_or_else(|| unborn(n)),
+            Probe::Taken(n) => {
+                Self::pick(self.taken.iter().copied(), n).unwrap_or_else(|| unborn(n))
+            }
+            Probe::Unborn(n) => unborn(n),
+            Probe::Huge(n) => {
+                [u64::MAX, u64::MAX - 1, u64::from(u32::MAX), 1 << 40][usize::from(n % 4)]
+            }
+        }
+    }
+
+    /// Records a fresh value at `id`, a minted id that never held one.
+    fn fill(&mut self, id: u64, v: u16) {
+        self.skipped.remove(&id);
+        self.skipped.extend(self.end..id);
+        self.end = self.end.max(id + 1);
+        self.map.insert(id, v);
+    }
+}
+
+/// Drives `ops` through an [`IdTable`] and the model. Lookups at every
+/// kind of id (live, taken, unborn, `u64::MAX`-class) answer as the map
+/// does and never grow the table; after every op, `iter` order, `len`
+/// and `ids_since` at the op's watermark agree.
+fn check_table_against_map(ops: &[(TableOp, u8)]) {
+    let mut table: IdTable<u64, u16> = IdTable::new();
+    let mut model = TableModel::default();
+    for (step, (op, mark)) in ops.iter().enumerate() {
+        let end = table.next_id();
+        match *op {
+            TableOp::Push(v) => {
+                let id = table.push(v);
+                prop_assert_eq!(id, model.end, "step {}: push mints the end", step);
+                model.fill(id, v);
+            }
+            TableOp::Insert(gap, v) => {
+                let id = model.end + u64::from(gap);
+                prop_assert_eq!(table.insert(id, v), None);
+                model.fill(id, v);
+            }
+            TableOp::InsertLate(n, v) => {
+                if let Some(id) = TableModel::pick(model.skipped.iter().copied(), n) {
+                    prop_assert_eq!(table.insert(id, v), None);
+                    model.fill(id, v);
+                }
+            }
+            TableOp::Get(probe) => {
+                let id = model.resolve(probe);
+                prop_assert_eq!(table.get(id), model.map.get(&id));
+                prop_assert_eq!(table.next_id(), end, "step {}: get grew the table", step);
+            }
+            TableOp::GetMut(probe, v) => {
+                let id = model.resolve(probe);
+                let (got, want) = (table.get_mut(id), model.map.get_mut(&id));
+                prop_assert_eq!(got.is_some(), want.is_some());
+                if let (Some(got), Some(want)) = (got, want) {
+                    (*got, *want) = (v, v);
+                }
+                prop_assert_eq!(
+                    table.next_id(),
+                    end,
+                    "step {}: get_mut grew the table",
+                    step
+                );
+            }
+            TableOp::Take(probe) => {
+                let id = model.resolve(probe);
+                let want = model.map.remove(&id);
+                if want.is_some() {
+                    model.taken.push(id);
+                }
+                prop_assert_eq!(table.take(id), want);
+                prop_assert_eq!(table.next_id(), end, "step {}: take grew the table", step);
+            }
+            TableOp::Contains(probe) => {
+                let id = model.resolve(probe);
+                prop_assert_eq!(table.contains(id), model.map.contains_key(&id));
+                prop_assert_eq!(
+                    table.next_id(),
+                    end,
+                    "step {}: contains grew the table",
+                    step
+                );
+            }
+        }
+        prop_assert_eq!(table.next_id(), model.end, "step {}: {:?}", step, op);
+        prop_assert_eq!(table.len(), model.map.len());
+        prop_assert_eq!(table.is_empty(), model.map.is_empty());
+        prop_assert!(table
+            .iter()
+            .map(|(k, v)| (k, *v))
+            .eq(model.map.iter().map(|(k, v)| (*k, *v))));
+        prop_assert!(table.values().eq(model.map.values()));
+        let watermark = u64::from(*mark) % (model.end + 2);
+        let tail: Vec<u64> = model.map.range(watermark..).map(|(k, _)| *k).collect();
+        prop_assert_eq!(table.ids_since(watermark).collect::<Vec<_>>(), tail);
+        prop_assert_eq!(table.ids_since(u64::MAX).count(), 0);
+    }
+}
+
+proptest! {
+    /// The id table answers every push, insert (fresh ids past a gap
+    /// and late ids a gap skipped) and lookup as a `BTreeMap` keyed by
+    /// id does, and a lookup at any id, `u64::MAX` included, never grows
+    /// it.
+    #[test]
+    fn id_table_matches_a_btree_map(ops in proptest::collection::vec((arb_table_op(), any::<u8>()), 1..80)) {
+        check_table_against_map(&ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// [`id_table_matches_a_btree_map`] over 4096 cases; run in release
+    /// with `--ignored`.
+    #[test]
+    #[ignore]
+    fn id_table_matches_a_btree_map_deep(ops in proptest::collection::vec((arb_table_op(), any::<u8>()), 1..80)) {
+        check_table_against_map(&ops);
     }
 }
 

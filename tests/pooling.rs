@@ -117,6 +117,34 @@ fn cross_tenant_object_access_is_denied_and_audited() {
     assert!(rt.call_tenant(victim, "cv2.GaussianBlur", &[img]).is_ok());
 }
 
+/// Only tenants `spawn_tenant` admitted are served. The main thread's id
+/// would skip the tenant gate, and a forged id would size the
+/// scheduler's tenant table: both are refused before anything is queued
+/// or read.
+#[test]
+fn tenants_never_spawned_are_refused_before_anything_is_queued() {
+    let mut rt = pooled_rt();
+    let a = rt.spawn_tenant();
+    let path = stage_input(&mut rt, 0);
+    let img = rt
+        .call_tenant(a, "cv2.imread", &[Value::from(path.as_str())])
+        .unwrap();
+    let obj = img.as_obj().unwrap();
+    for forged in [TenantId(0), TenantId(u32::MAX)] {
+        let refused = CallError::UnknownApi(format!("{forged} not spawned"));
+        let blur = rt.tenant_submit(forged, "cv2.GaussianBlur", std::slice::from_ref(&img));
+        assert_eq!(blur, Err(refused.clone()));
+        assert_eq!(rt.pump_one(), None, "nothing was queued for {forged}");
+        assert!(rt.tenant_latencies(forged).is_empty());
+        assert_eq!(rt.tenant_fetch(forged, obj), Err(refused.clone()));
+        let call = rt.call_tenant(forged, "cv2.GaussianBlur", std::slice::from_ref(&img));
+        assert_eq!(call, Err(refused));
+    }
+    // A's object stays readable, and usable, through A alone.
+    assert!(rt.tenant_fetch(a, obj).is_ok());
+    assert!(rt.call_tenant(a, "cv2.GaussianBlur", &[img]).is_ok());
+}
+
 #[test]
 fn host_data_defined_before_a_tenant_spawn_is_locked_by_that_tenant() {
     // Annotated host data is shared by every tenant, including tenants
